@@ -175,6 +175,15 @@ impl App {
         }
     }
 
+    /// Whether a `procs`-rank run executes any parallel-unique
+    /// computation (Observation 1's "extra"): CG's and MiniFE's
+    /// user-level reduction combines and FT's inter-stage twiddles. A
+    /// serial run has none, and MG, LU and PENNANT have none at any
+    /// scale, so a campaign targeting that region cannot run there.
+    pub fn has_parallel_unique_ops(self, procs: usize) -> bool {
+        procs > 1 && matches!(self, App::Cg | App::Ft | App::MiniFe)
+    }
+
     /// Run this app's default problem on the calling rank.
     ///
     /// Must be invoked inside a [`World::run`](resilim_simmpi::World::run)

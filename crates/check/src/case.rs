@@ -173,7 +173,7 @@ impl CaseSpec {
     /// Structural validity: the invariants generation and shrinking must
     /// preserve (and hand-edited repro records must satisfy).
     pub fn validate(&self) -> Result<(), String> {
-        self.resolve_app()?;
+        let app = self.resolve_app()?;
         if !self.procs.is_power_of_two() || self.procs < 2 {
             return Err(format!("procs = {} must be a power of two ≥ 2", self.procs));
         }
@@ -186,7 +186,7 @@ impl CaseSpec {
         if let ErrorSpec::SerialErrors(_) = self.errors {
             return Err("check cases measure parallel deployments".into());
         }
-        resilim_harness::validate_fault_model(self.fault_model, self.errors, self.procs)?;
+        resilim_harness::validate_deployment(app, self.procs, self.errors, self.fault_model)?;
         Ok(())
     }
 }

@@ -335,7 +335,7 @@ pub fn one_deployment(opts: &Options) -> Result<(CampaignSpec, App, usize, Error
     let procs = opts.scale.unwrap_or(1);
     let errors = parse_errors(opts.errors.as_deref().unwrap_or("par"), procs)?;
     let fault_model = opts.fault_model.unwrap_or_default();
-    resilim_harness::validate_fault_model(fault_model, errors, procs)?;
+    resilim_harness::validate_deployment(app, procs, errors, fault_model)?;
     let spec = opts
         .cfg
         .campaign(app.default_spec(), procs, errors)

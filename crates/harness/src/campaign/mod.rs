@@ -38,6 +38,6 @@ pub use aggregate::{
 };
 pub use runner::{auto_worker_count, CampaignRunner, TrialExecutor};
 pub use spec::{
-    validate_fault_model, CampaignResult, CampaignSpec, ErrorSpec, DEFAULT_TAINT_THRESHOLD,
+    validate_deployment, CampaignResult, CampaignSpec, ErrorSpec, DEFAULT_TAINT_THRESHOLD,
 };
 pub use stream::{ReorderBuffer, TrialConsumer, TrialPipeline, TrialRecord};

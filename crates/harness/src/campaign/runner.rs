@@ -139,7 +139,8 @@ impl CampaignRunner {
         self
     }
 
-    /// Persist every freshly executed trial's [`TrialFeatures`] under
+    /// Persist every freshly executed trial's
+    /// [`TrialFeatures`](resilim_core::TrialFeatures) under
     /// `dir` (the CLI wires `--store DIR` to `DIR/features`) — the
     /// learned predictors' training data, keyed exactly like the
     /// ledger. See [`crate::features`].

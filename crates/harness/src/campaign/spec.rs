@@ -2,7 +2,7 @@
 //! and what comes back ([`CampaignResult`]).
 
 use crate::golden::GoldenRun;
-use resilim_apps::ProblemSpec;
+use resilim_apps::{App, ProblemSpec};
 use resilim_core::{FiResult, PropagationProfile, StopRule, TrialFeatures};
 use resilim_inject::{FailureKind, FaultModelSpec, OpMask, TestOutcome};
 use resilim_obs as obs;
@@ -70,15 +70,18 @@ impl ErrorSpec {
     }
 }
 
-/// Validate a fault-model choice against the deployment shape it will
-/// run in. Shared by the CLI front end and the `resilim serve` wire
-/// protocol so a bad combination is rejected identically everywhere:
+/// Validate a deployment before anything executes. Shared by the CLI
+/// front end, the `resilim serve` wire protocol and `resilim check`
+/// cases, so a bad combination is rejected identically everywhere:
 /// burst defines its own bit geometry (no `multi:K`/`unique`/`ser:N`),
-/// and a wire fault needs a communicating (`par`, multi-rank) world.
-pub fn validate_fault_model(
-    model: FaultModelSpec,
-    errors: ErrorSpec,
+/// a wire fault needs a communicating (`par`, multi-rank) world, and
+/// `unique` errors need parallel-unique computation to target (see
+/// [`App::has_parallel_unique_ops`]).
+pub fn validate_deployment(
+    app: App,
     procs: usize,
+    errors: ErrorSpec,
+    model: FaultModelSpec,
 ) -> Result<(), String> {
     if matches!(model, FaultModelSpec::Burst(_)) && !matches!(errors, ErrorSpec::OneParallel) {
         return Err("fault model burst needs errors=par (the burst defines its own bits)".into());
@@ -90,6 +93,12 @@ pub fn validate_fault_model(
         if procs < 2 {
             return Err("fault model msg needs >= 2 ranks (a 1-rank world sends nothing)".into());
         }
+    }
+    if errors == ErrorSpec::OneParallelUnique && !app.has_parallel_unique_ops(procs) {
+        return Err(format!(
+            "errors=unique needs parallel-unique computation, and {} at {procs} rank(s) has none",
+            app.name()
+        ));
     }
     Ok(())
 }
@@ -336,8 +345,7 @@ impl CampaignResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use resilim_apps::App;
-    use resilim_inject::OpMask;
+    use resilim_inject::{OpMask, Region};
 
     fn base() -> CampaignSpec {
         CampaignSpec::new(App::Cg.default_spec(), 4, ErrorSpec::OneParallel, 50, 7)
@@ -444,6 +452,35 @@ mod tests {
         assert!(ErrorSpec::parse("ser:x", 1).is_err());
         assert!(ErrorSpec::parse("multi:x", 4).is_err());
         assert!(ErrorSpec::parse("bogus", 4).is_err());
+    }
+
+    /// The static answer the validator relies on must agree with what
+    /// a golden run actually profiles.
+    #[test]
+    fn parallel_unique_ops_match_golden_profiles() {
+        let runner = crate::CampaignRunner::new();
+        for app in App::ALL {
+            for procs in [1, 2, 4] {
+                let golden = runner.golden().get(&app.default_spec(), procs);
+                assert_eq!(
+                    golden.injectable(Region::ParallelUnique) > 0,
+                    app.has_parallel_unique_ops(procs),
+                    "{app:?} at p={procs}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn unique_errors_need_parallel_unique_ops() {
+        let ok = |app, procs| {
+            validate_deployment(app, procs, ErrorSpec::OneParallelUnique, Default::default())
+        };
+        assert_eq!(ok(App::Cg, 4), Ok(()));
+        assert_eq!(ok(App::Ft, 2), Ok(()));
+        let err = ok(App::Mg, 4).unwrap_err();
+        assert!(err.contains("mg at 4 rank(s) has none"), "{err}");
+        assert!(ok(App::Cg, 1).is_err(), "a serial run has no unique ops");
     }
 
     /// Keys minted before fault models existed must keep identifying the

@@ -13,7 +13,11 @@
 //!   store directory reassembles the full campaign's training set.
 //! * **Resume**: a resumed trial is *not* re-extracted — its features
 //!   were persisted by the run that executed it, and the lenient loader
-//!   picks them up.
+//!   picks them up from the files named for the campaign's key (every
+//!   pid's), without reading the rest of the store.
+//! * **Merge and training**: [`FeatureStore::load_strict`] and
+//!   [`FeatureStore::load_all`] scan every `*.jsonl` file, so a
+//!   duplicate or forged record is caught wherever it sits.
 //! * **Determinism**: records are appended in reorder-buffer delivery
 //!   order, so the file contents for a given `(spec, seed)` are
 //!   byte-identical across worker counts, batch sizes, and one-shot vs
@@ -21,19 +25,24 @@
 //!
 //! Corruption tolerance mirrors [`crate::ledger::TrialLedger`]: every
 //! line parses independently; a truncated tail, interleaved garbage, a
-//! stale schema version, or a foreign-campaign record each degrade to
-//! "that trial's features were never stored".
+//! stale schema version, a foreign-campaign record, or (for resume) a
+//! record in a file not named for its key each degrade to "that trial's
+//! features were never stored".
 
+use crate::jsonl_files;
 use parking_lot::Mutex;
 use resilim_core::{TrialFeatures, FEATURE_SCHEMA_VERSION};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// Records appended between fsyncs (same cadence as the ledger).
 const SYNC_BATCH: usize = 64;
+
+/// File-name stem of feature files (`features-<fnv64(key)>-<pid>.jsonl`).
+const FILE_STEM: &str = "features";
 
 /// One durable feature record (one JSONL line).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -55,8 +64,10 @@ struct FeatureRecord {
 ///
 /// Each process appends to its own file
 /// (`features-<fnv64(key)>-<pid>.jsonl`) so concurrent shards sharing a
-/// store directory never interleave partial lines; loading scans every
-/// `*.jsonl` file in the directory and filters by `(version, key, seed)`.
+/// store directory never interleave partial lines. Resume
+/// ([`FeatureStore::load`]) reads the files named for the key, from every
+/// pid; merge and training scan every `*.jsonl` file. All loaders filter
+/// by `(version, key, seed)`.
 pub struct FeatureStore {
     key: String,
     seed: u64,
@@ -64,7 +75,9 @@ pub struct FeatureStore {
 }
 
 struct Writer {
-    file: BufWriter<File>,
+    /// Unbuffered: each batch is built as one string and goes out in
+    /// one `write_all`, so a buffer would only add a copy.
+    file: File,
     /// Appends since the last fsync.
     unsynced: usize,
 }
@@ -82,26 +95,19 @@ impl FeatureStore {
         Ok(FeatureStore {
             key: key.to_string(),
             seed,
-            writer: Mutex::new(Writer {
-                file: BufWriter::new(file),
-                unsynced: 0,
-            }),
+            writer: Mutex::new(Writer { file, unsynced: 0 }),
         })
     }
 
     /// This process's append-file name for `key`.
     pub fn file_name(key: &str) -> String {
-        format!(
-            "features-{:016x}-{}.jsonl",
-            crate::golden::fnv64(&[key.as_bytes()]),
-            std::process::id()
-        )
+        jsonl_files::file_name(FILE_STEM, key)
     }
 
-    /// Append a batch of trials' features with one writer lock, one
-    /// `write`, and one flush. Same best-effort durability contract as
+    /// Append a batch of trials' features with one writer lock and one
+    /// `write`. Same best-effort durability contract as
     /// the ledger: flushed to the OS immediately, fsynced every
-    /// [`SYNC_BATCH`] records, IO errors swallowed (a full disk degrades
+    /// `SYNC_BATCH` records, IO errors swallowed (a full disk degrades
     /// the training set, it must not kill the campaign).
     pub fn append_batch(&self, records: &[(usize, TrialFeatures)]) {
         if records.is_empty() {
@@ -126,37 +132,36 @@ impl FeatureStore {
         if w.file.write_all(lines.as_bytes()).is_err() {
             return;
         }
-        let _ = w.file.flush();
         w.unsynced += records.len();
         if w.unsynced >= SYNC_BATCH {
-            let _ = w.file.get_ref().sync_data();
+            let _ = w.file.sync_data();
             w.unsynced = 0;
         }
     }
 
-    /// Flush and fsync any pending batch (also done on drop).
+    /// Fsync any appends not yet synced (also done on drop).
     pub fn sync(&self) {
         let mut w = self.writer.lock();
-        let _ = w.file.flush();
         if w.unsynced > 0 {
-            let _ = w.file.get_ref().sync_data();
+            let _ = w.file.sync_data();
             w.unsynced = 0;
         }
     }
 
-    /// Load every valid record for `(key, seed)` from all feature files
-    /// under `dir`: trial index → features. Tolerates a missing
-    /// directory, unreadable files, truncated/corrupt lines, stale
-    /// schema versions, and foreign-campaign records — each degrades to
-    /// "not stored". Files scan in name order; later records win.
+    /// Load every valid record for `(key, seed)` from the feature files
+    /// named for `key` under `dir` (every pid's): trial index →
+    /// features. Tolerates a missing directory, unreadable files,
+    /// truncated/corrupt lines, stale schema versions, and
+    /// foreign-campaign records — each degrades to "not stored". Files
+    /// in other names are not read. Files scan in name order; later
+    /// records win.
     pub fn load(dir: impl AsRef<Path>, key: &str, seed: u64) -> HashMap<usize, TrialFeatures> {
-        let mut out = HashMap::new();
-        for (rec, _) in Self::scan(dir) {
-            if rec.key == key && rec.seed == seed {
-                out.insert(rec.trial, rec.features);
-            }
-        }
-        out
+        let paths = jsonl_files::keyed_files(dir.as_ref(), FILE_STEM, key);
+        Self::scan(&paths)
+            .into_iter()
+            .filter(|(rec, _)| rec.key == key && rec.seed == seed)
+            .map(|(rec, _)| (rec.trial, rec.features))
+            .collect()
     }
 
     /// Load *every* campaign's records under `dir`, keyed by
@@ -165,7 +170,7 @@ impl FeatureStore {
     /// holds. Same corruption tolerance as [`FeatureStore::load`].
     pub fn load_all(dir: impl AsRef<Path>) -> Vec<TrialFeatures> {
         let mut keyed: HashMap<(String, u64, usize), TrialFeatures> = HashMap::new();
-        for (rec, _) in Self::scan(dir) {
+        for (rec, _) in Self::scan(&jsonl_files::all_files(dir.as_ref())) {
             keyed.insert((rec.key, rec.seed, rec.trial), rec.features);
         }
         let mut entries: Vec<_> = keyed.into_iter().collect();
@@ -184,7 +189,7 @@ impl FeatureStore {
         seed: u64,
     ) -> Result<HashMap<usize, TrialFeatures>, String> {
         let mut out = HashMap::new();
-        for (rec, path) in Self::scan(dir) {
+        for (rec, path) in Self::scan(&jsonl_files::all_files(dir.as_ref())) {
             if rec.key != key {
                 continue;
             }
@@ -212,36 +217,13 @@ impl FeatureStore {
         Ok(out)
     }
 
-    /// Every parseable current-version record under `dir`, with its
-    /// source path, in file-name order. Unparseable lines and stale
-    /// schema versions are skipped here so every loader shares one
-    /// corruption-tolerance policy.
-    fn scan(dir: impl AsRef<Path>) -> Vec<(FeatureRecord, PathBuf)> {
-        let mut out = Vec::new();
-        let Ok(entries) = std::fs::read_dir(dir.as_ref()) else {
-            return out;
-        };
-        let mut paths: Vec<PathBuf> = entries
-            .flatten()
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|e| e == "jsonl"))
-            .collect();
-        paths.sort();
-        for path in paths {
-            let Ok(raw) = std::fs::read_to_string(&path) else {
-                continue;
-            };
-            for line in raw.lines() {
-                let Ok(rec) = serde_json::from_str::<FeatureRecord>(line) else {
-                    continue; // truncated tail, garbage, or foreign format
-                };
-                if rec.v != FEATURE_SCHEMA_VERSION {
-                    continue; // stale schema: skipped, never migrated
-                }
-                out.push((rec, path.clone()));
-            }
-        }
-        out
+    /// Every parseable current-version record in `paths`, with its
+    /// source path, in the given order; stale schema versions are
+    /// skipped, never migrated.
+    fn scan(paths: &[PathBuf]) -> Vec<(FeatureRecord, &Path)> {
+        let mut records = jsonl_files::read_records::<FeatureRecord>(paths);
+        records.retain(|(rec, _)| rec.v == FEATURE_SCHEMA_VERSION);
+        records
     }
 }
 
@@ -265,6 +247,11 @@ mod tests {
 
     fn feat(label: OutcomeKind, total_ops: u64) -> TrialFeatures {
         TrialFeatures::quiet(label, 4, total_ops, [1.0, 0.0, 0.0, 0.0, 0.0])
+    }
+
+    /// The file another process would append `key`'s records to.
+    fn other_pid_file(key: &str) -> String {
+        FeatureStore::file_name(key).replace(&format!("-{}.", std::process::id()), "-zzz.")
     }
 
     #[test]
@@ -340,7 +327,7 @@ mod tests {
         })
         .unwrap();
         std::fs::write(
-            dir.join("features-zzz.jsonl"),
+            dir.join(other_pid_file("k")),
             format!("not json at all\n{good}\n"),
         )
         .unwrap();
@@ -372,18 +359,73 @@ mod tests {
             .path();
         let line = std::fs::read_to_string(&path).unwrap();
         // Duplicate trial in a second file → refuse to merge.
-        std::fs::write(dir.join("features-zzy.jsonl"), &line).unwrap();
+        std::fs::write(dir.join(other_pid_file("k")), &line).unwrap();
         let err = FeatureStore::load_strict(&dir, "k", 1).unwrap_err();
         assert!(err.contains("duplicate record for trial 0"), "{err}");
         // Forged seed wearing our key → identity mismatch.
         let forged = line
             .replace("\"seed\":1", "\"seed\":2")
             .replace("\"trial\":0", "\"trial\":7");
-        std::fs::write(dir.join("features-zzy.jsonl"), forged).unwrap();
+        std::fs::write(dir.join(other_pid_file("k")), forged).unwrap();
         let err = FeatureStore::load_strict(&dir, "k", 1).unwrap_err();
         assert!(err.contains("identity"), "{err}");
         // Lenient load skips the foreign-seed record entirely.
         assert_eq!(FeatureStore::load(&dir, "k", 1).len(), 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn resume_reads_every_pid_file_of_its_key() {
+        let dir = temp_dir("two-pids");
+        let store = FeatureStore::open(&dir, "k", 1).unwrap();
+        store.append_batch(&[(0, feat(OutcomeKind::Success, 10))]);
+        drop(store);
+        let line = std::fs::read_to_string(dir.join(FeatureStore::file_name("k")))
+            .unwrap()
+            .replace("\"trial\":0", "\"trial\":1");
+        std::fs::write(dir.join(other_pid_file("k")), line).unwrap();
+        let map = FeatureStore::load(&dir, "k", 1);
+        assert_eq!(map.len(), 2, "{map:?}");
+        assert_eq!(FeatureStore::load_strict(&dir, "k", 1).unwrap(), map);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn foreign_named_record_is_merged_but_not_resumed() {
+        let dir = temp_dir("foreign-name");
+        let store = FeatureStore::open(&dir, "k", 1).unwrap();
+        store.append_batch(&[(0, feat(OutcomeKind::Success, 10))]);
+        drop(store);
+        let line = std::fs::read_to_string(dir.join(FeatureStore::file_name("k")))
+            .unwrap()
+            .replace("\"trial\":0", "\"trial\":1");
+        std::fs::write(dir.join("features-zzz.jsonl"), &line).unwrap();
+        let resumed = FeatureStore::load(&dir, "k", 1);
+        assert_eq!(resumed.keys().collect::<Vec<_>>(), [&0]);
+        assert_eq!(FeatureStore::load_strict(&dir, "k", 1).unwrap().len(), 2);
+        assert_eq!(FeatureStore::load_all(&dir).len(), 2);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn another_keys_corrupt_file_leaves_resume_unchanged() {
+        let dir = temp_dir("other-corrupt");
+        let store = FeatureStore::open(&dir, "k", 1).unwrap();
+        store.append_batch(&[
+            (0, feat(OutcomeKind::Success, 10)),
+            (1, feat(OutcomeKind::Sdc, 20)),
+        ]);
+        drop(store);
+        let before = FeatureStore::load(&dir, "k", 1);
+        std::fs::write(dir.join(other_pid_file("other")), "garbage\n{\"v\":1,\"ke").unwrap();
+        std::fs::write(
+            dir.join(FeatureStore::file_name("other")),
+            [0xff, 0xfe, b'\n'],
+        )
+        .unwrap();
+        assert_eq!(FeatureStore::load(&dir, "k", 1), before);
+        assert_eq!(FeatureStore::load_strict(&dir, "k", 1).unwrap(), before);
+        assert_eq!(FeatureStore::load_all(&dir).len(), 2);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

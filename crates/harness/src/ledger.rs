@@ -25,18 +25,27 @@
 //!   exhausted it is recorded as a `Hang` outcome instead of wedging
 //!   the campaign.
 //!
+//! Resume and merge read the store differently. Resume
+//! ([`TrialLedger::load`]) reads only the campaign's own files,
+//! `trials-<fnv64(key)>-<pid>.jsonl` from any pid, so its cost follows
+//! the campaign and not the store. Merge ([`TrialLedger::load_strict`])
+//! scans every `*.jsonl` file, so a duplicate or forged record is
+//! caught wherever it sits.
+//!
 //! Corruption tolerance mirrors the golden cache: every line is parsed
 //! independently, and a truncated tail, interleaved garbage, a
-//! stale-version record, or a record for a different campaign key all
-//! degrade to "that trial was never ledgered" — resume re-runs exactly
-//! the affected trials and the merged result still equals a fresh run.
+//! stale-version record, a record for a different campaign key, or a
+//! record in a file not named for its key all degrade to "that trial
+//! was never ledgered" — resume re-runs exactly the affected trials and
+//! the merged result still equals a fresh run.
 
+use crate::jsonl_files;
 use parking_lot::Mutex;
 use resilim_inject::TestOutcome;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -49,6 +58,9 @@ pub const LEDGER_VERSION: u32 = 1;
 /// immediately (survives a process crash); the batch fsync bounds what
 /// a power loss can cost.
 const SYNC_BATCH: usize = 64;
+
+/// File-name stem of ledger files (`trials-<fnv64(key)>-<pid>.jsonl`).
+const FILE_STEM: &str = "trials";
 
 /// One durable trial record (one JSONL line).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -167,9 +179,10 @@ impl RetryPolicy {
 ///
 /// Each process appends to its own file
 /// (`trials-<fnv64(key)>-<pid>.jsonl`) so concurrent shards sharing a
-/// store directory never interleave partial lines; loading scans every
-/// `*.jsonl` file in the directory and filters by `(version, key,
-/// seed)`, which is also exactly how shard ledgers merge.
+/// store directory never interleave partial lines. Resume
+/// ([`TrialLedger::load`]) reads the files named for the key, from every
+/// pid; merge ([`TrialLedger::load_strict`]) scans every `*.jsonl` file.
+/// Both filter by `(version, key, seed)`.
 pub struct TrialLedger {
     key: String,
     seed: u64,
@@ -177,7 +190,9 @@ pub struct TrialLedger {
 }
 
 struct Writer {
-    file: BufWriter<File>,
+    /// Unbuffered: each batch is built as one string and goes out in
+    /// one `write_all`, so a buffer would only add a copy.
+    file: File,
     /// Appends since the last fsync.
     unsynced: usize,
 }
@@ -195,20 +210,13 @@ impl TrialLedger {
         Ok(TrialLedger {
             key: key.to_string(),
             seed,
-            writer: Mutex::new(Writer {
-                file: BufWriter::new(file),
-                unsynced: 0,
-            }),
+            writer: Mutex::new(Writer { file, unsynced: 0 }),
         })
     }
 
     /// This process's append-file name for `key`.
     pub fn file_name(key: &str) -> String {
-        format!(
-            "trials-{:016x}-{}.jsonl",
-            crate::golden::fnv64(&[key.as_bytes()]),
-            std::process::id()
-        )
+        jsonl_files::file_name(FILE_STEM, key)
     }
 
     /// Append one completed trial. Best-effort durability: the line is
@@ -220,8 +228,8 @@ impl TrialLedger {
         self.append_batch(&[(trial, *outcome, attempts)]);
     }
 
-    /// Append a batch of completed trials with one writer lock, one
-    /// `write`, and one flush — the amortized form batched admission
+    /// Append a batch of completed trials with one writer lock and one
+    /// `write` — the amortized form batched admission
     /// uses. Durability bound is unchanged: the whole batch reaches the
     /// OS before this returns, and the `SYNC_BATCH` fsync cadence
     /// counts individual records, not calls.
@@ -249,59 +257,42 @@ impl TrialLedger {
         if w.file.write_all(lines.as_bytes()).is_err() {
             return;
         }
-        let _ = w.file.flush();
         w.unsynced += records.len();
         if w.unsynced >= SYNC_BATCH {
-            let _ = w.file.get_ref().sync_data();
+            let _ = w.file.sync_data();
             w.unsynced = 0;
         }
     }
 
-    /// Flush and fsync any pending batch (also done on drop).
+    /// Fsync any appends not yet synced (also done on drop).
     pub fn sync(&self) {
         let mut w = self.writer.lock();
-        let _ = w.file.flush();
         if w.unsynced > 0 {
-            let _ = w.file.get_ref().sync_data();
+            let _ = w.file.sync_data();
             w.unsynced = 0;
         }
     }
 
-    /// Load every valid record for `(key, seed)` from all ledger files
-    /// under `dir`: trial index → outcome. Tolerates a missing
-    /// directory, unreadable files, truncated/corrupt lines, stale
-    /// versions, and foreign-campaign records — each degrades to "not
-    /// ledgered". Files are scanned in name order and later records win
-    /// (re-runs of a trial are deterministic, so this is cosmetic).
+    /// Load every valid record for `(key, seed)` from the ledger files
+    /// named for `key` under `dir` (every pid's): trial index → outcome.
+    /// Tolerates a missing directory, unreadable files,
+    /// truncated/corrupt lines, stale versions, and foreign-campaign
+    /// records — each degrades to "not ledgered". Files in other names
+    /// are not read, so a record outside its campaign's files is never
+    /// resumed (its trial re-runs deterministically). Files are scanned
+    /// in name order and later records win (re-runs of a trial are
+    /// deterministic, so this is cosmetic).
     pub fn load(dir: impl AsRef<Path>, key: &str, seed: u64) -> HashMap<usize, TestOutcome> {
-        let mut out = HashMap::new();
-        let Ok(entries) = std::fs::read_dir(dir.as_ref()) else {
-            return out;
-        };
-        let mut paths: Vec<PathBuf> = entries
-            .flatten()
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|e| e == "jsonl"))
-            .collect();
-        paths.sort();
-        for path in paths {
-            let Ok(raw) = std::fs::read_to_string(&path) else {
-                continue;
-            };
-            for line in raw.lines() {
-                let Ok(rec) = serde_json::from_str::<TrialRecord>(line) else {
-                    continue; // truncated tail, garbage, or foreign format
-                };
-                if rec.v != LEDGER_VERSION || rec.key != key || rec.seed != seed {
-                    continue; // stale version or different campaign
-                }
-                out.insert(rec.trial, rec.outcome);
-            }
-        }
-        out
+        let paths = jsonl_files::keyed_files(dir.as_ref(), FILE_STEM, key);
+        Self::scan(&paths)
+            .into_iter()
+            .filter(|(rec, _)| rec.key == key && rec.seed == seed)
+            .map(|(rec, _)| (rec.trial, rec.outcome))
+            .collect()
     }
 
-    /// Like [`TrialLedger::load`], but for *merging*: adversarial
+    /// Like [`TrialLedger::load`], but for *merging*: it scans every
+    /// `*.jsonl` file under `dir`, whatever its name, and adversarial
     /// conditions that resume can shrug off are hard errors here.
     ///
     /// * **Duplicate trial records** (two valid records for the same
@@ -326,50 +317,42 @@ impl TrialLedger {
         seed: u64,
     ) -> Result<HashMap<usize, TestOutcome>, String> {
         let mut out = HashMap::new();
-        let Ok(entries) = std::fs::read_dir(dir.as_ref()) else {
-            return Ok(out);
-        };
-        let mut paths: Vec<PathBuf> = entries
-            .flatten()
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|e| e == "jsonl"))
-            .collect();
-        paths.sort();
-        for path in paths {
-            let Ok(raw) = std::fs::read_to_string(&path) else {
-                continue;
-            };
-            for line in raw.lines() {
-                let Ok(rec) = serde_json::from_str::<TrialRecord>(line) else {
-                    continue; // truncated tail, garbage, or foreign format
-                };
-                if rec.v != LEDGER_VERSION || rec.key != key {
-                    continue; // stale version or different campaign
-                }
-                if rec.seed != seed {
-                    return Err(format!(
-                        "ledger {}: record for trial {} matches campaign key but \
-                         carries seed {} (expected {}) — deployment identity \
-                         mismatch, refusing to merge",
-                        path.display(),
-                        rec.trial,
-                        rec.seed,
-                        seed,
-                    ));
-                }
-                if out.insert(rec.trial, rec.outcome).is_some() {
-                    return Err(format!(
-                        "ledger {}: duplicate record for trial {} — the same \
-                         shard ran twice into this store, or ledgers from \
-                         separate runs were mixed; refusing to merge (re-run \
-                         the shard with --resume into a clean directory)",
-                        path.display(),
-                        rec.trial,
-                    ));
-                }
+        for (rec, path) in Self::scan(&jsonl_files::all_files(dir.as_ref())) {
+            if rec.key != key {
+                continue; // different campaign
+            }
+            if rec.seed != seed {
+                return Err(format!(
+                    "ledger {}: record for trial {} matches campaign key but \
+                     carries seed {} (expected {}) — deployment identity \
+                     mismatch, refusing to merge",
+                    path.display(),
+                    rec.trial,
+                    rec.seed,
+                    seed,
+                ));
+            }
+            if out.insert(rec.trial, rec.outcome).is_some() {
+                return Err(format!(
+                    "ledger {}: duplicate record for trial {} — the same \
+                     shard ran twice into this store, or ledgers from \
+                     separate runs were mixed; refusing to merge (re-run \
+                     the shard with --resume into a clean directory)",
+                    path.display(),
+                    rec.trial,
+                ));
             }
         }
         Ok(out)
+    }
+
+    /// Every parseable current-version record in `paths`, with its
+    /// source path, in the given order; stale versions are skipped,
+    /// never migrated.
+    fn scan(paths: &[PathBuf]) -> Vec<(TrialRecord, &Path)> {
+        let mut records = jsonl_files::read_records::<TrialRecord>(paths);
+        records.retain(|(rec, _)| rec.v == LEDGER_VERSION);
+        records
     }
 }
 
@@ -388,6 +371,11 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("resilim-ledger-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// The file another process would append `key`'s records to.
+    fn other_pid_file(key: &str) -> String {
+        TrialLedger::file_name(key).replace(&format!("-{}.", std::process::id()), "-zzz.")
     }
 
     #[test]
@@ -421,7 +409,7 @@ mod tests {
         // Interleave garbage, a stale-version record, and a truncated
         // final line into a second ledger file.
         std::fs::write(
-            dir.join("trials-zzz.jsonl"),
+            dir.join(other_pid_file("k")),
             concat!(
                 "not json at all\n",
                 "{\"v\":999,\"key\":\"k\",\"seed\":1,\"trial\":5,\"outcome\":",
@@ -470,7 +458,7 @@ mod tests {
         .nth(1)
         .unwrap()
         .to_string();
-        std::fs::write(dir.join("trials-zzz.jsonl"), format!("{line}\n")).unwrap();
+        std::fs::write(dir.join(other_pid_file("k")), format!("{line}\n")).unwrap();
         // Lenient load dedupes (resume semantics)…
         assert_eq!(TrialLedger::load(&dir, "k", 1).len(), 2);
         // …but the merge path must fail loudly.
@@ -498,7 +486,7 @@ mod tests {
             .unwrap()
             .replace("\"seed\":1", "\"seed\":2")
             .replace("\"trial\":0", "\"trial\":7");
-        std::fs::write(dir.join("trials-zzz.jsonl"), forged).unwrap();
+        std::fs::write(dir.join(other_pid_file("k")), forged).unwrap();
         // Lenient load silently skips it (different campaign)…
         assert_eq!(TrialLedger::load(&dir, "k", 1).len(), 1);
         // …strict load refuses to merge.
@@ -523,6 +511,67 @@ mod tests {
         .unwrap();
         let map = TrialLedger::load_strict(&dir, "k", 1).unwrap();
         assert_eq!(map.len(), 1, "corrupt + stale lines skipped, not fatal");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn resume_reads_every_pid_file_of_its_key() {
+        let dir = temp_dir("two-pids");
+        let ledger = TrialLedger::open(&dir, "k", 1).unwrap();
+        ledger.append(0, &TestOutcome::success(true, 1, 1), 0);
+        drop(ledger);
+        // A second process's shard of the same campaign.
+        let line = std::fs::read_to_string(dir.join(TrialLedger::file_name("k")))
+            .unwrap()
+            .replace("\"trial\":0", "\"trial\":1");
+        std::fs::write(dir.join(other_pid_file("k")), line).unwrap();
+        let map = TrialLedger::load(&dir, "k", 1);
+        assert_eq!(map.len(), 2, "{map:?}");
+        assert_eq!(TrialLedger::load_strict(&dir, "k", 1).unwrap(), map);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn foreign_named_record_is_merged_but_not_resumed() {
+        let dir = temp_dir("foreign-name");
+        let ledger = TrialLedger::open(&dir, "k", 1).unwrap();
+        ledger.append(0, &TestOutcome::success(true, 1, 1), 0);
+        drop(ledger);
+        // A valid record for trial 1 of key `k`, in a file named for no
+        // key: resume does not look there, merge does.
+        let line = std::fs::read_to_string(dir.join(TrialLedger::file_name("k")))
+            .unwrap()
+            .replace("\"trial\":0", "\"trial\":1");
+        std::fs::write(dir.join("trials-zzz.jsonl"), &line).unwrap();
+        // The same record in another key's file is equally invisible.
+        std::fs::write(dir.join(other_pid_file("other")), &line).unwrap();
+        let resumed = TrialLedger::load(&dir, "k", 1);
+        assert_eq!(resumed.keys().collect::<Vec<_>>(), [&0]);
+        // Both stray copies are seen by merge, which rejects the second
+        // as a duplicate of the first.
+        let err = TrialLedger::load_strict(&dir, "k", 1).unwrap_err();
+        assert!(err.contains("duplicate record for trial 1"), "{err}");
+        std::fs::remove_file(dir.join(other_pid_file("other"))).unwrap();
+        assert_eq!(TrialLedger::load_strict(&dir, "k", 1).unwrap().len(), 2);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn another_keys_corrupt_file_leaves_resume_unchanged() {
+        let dir = temp_dir("other-corrupt");
+        let ledger = TrialLedger::open(&dir, "k", 1).unwrap();
+        ledger.append(0, &TestOutcome::success(true, 1, 1), 0);
+        ledger.append(1, &TestOutcome::sdc(2, 1), 0);
+        drop(ledger);
+        let before = TrialLedger::load(&dir, "k", 1);
+        std::fs::write(dir.join(other_pid_file("other")), "garbage\n{\"v\":1,\"ke").unwrap();
+        std::fs::write(
+            dir.join(TrialLedger::file_name("other")),
+            [0xff, 0xfe, b'\n'],
+        )
+        .unwrap();
+        assert_eq!(TrialLedger::load(&dir, "k", 1), before);
+        assert_eq!(TrialLedger::load_strict(&dir, "k", 1).unwrap(), before);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -22,6 +22,9 @@
 //! * [`features`] — durable per-trial feature store (the learned
 //!   predictors' training data), keyed and sharded exactly like the
 //!   ledger.
+//! * `jsonl_files` — naming, listing and reading of the ledger's and
+//!   feature store's per-process JSONL files: keyed for resume, full
+//!   for merge.
 //! * [`report`] — plain-text table rendering.
 //! * [`store`] — JSON persistence of campaign summaries ("measure once,
 //!   model later").
@@ -31,13 +34,14 @@ pub mod campaign;
 pub mod experiments;
 pub mod features;
 pub mod golden;
+mod jsonl_files;
 pub mod ledger;
 pub mod plot;
 pub mod report;
 pub mod store;
 
 pub use campaign::{
-    aggregate_outcomes, auto_worker_count, validate_fault_model, CampaignAccumulator,
+    aggregate_outcomes, auto_worker_count, validate_deployment, CampaignAccumulator,
     CampaignResult, CampaignRunner, CampaignSpec, ConvergenceSeries, ErrorSpec, TrialConsumer,
     TrialExecutor, TrialPipeline, TrialRecord,
 };

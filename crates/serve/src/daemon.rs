@@ -22,8 +22,10 @@
 
 use crate::protocol::{self, Request, Response, SubmitSpec, PROTOCOL_VERSION};
 use crate::scheduler::{Scheduler, WatchEvent};
+use parking_lot::Mutex;
 use resilim_harness::CampaignRunner;
 use serde::{Deserialize, Serialize};
+use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
@@ -78,29 +80,34 @@ struct JournalLine {
 }
 
 /// Append-only journal of submissions, replayed on startup.
+///
+/// Connection handlers append concurrently. Each line, newline
+/// included, goes out in one `write_all` under `file`'s lock, so two
+/// submissions can never interleave into one unparseable line.
 struct Journal {
     path: PathBuf,
+    file: Mutex<File>,
 }
 
 impl Journal {
     fn open(store: &Path) -> std::io::Result<Journal> {
         std::fs::create_dir_all(store)?;
+        let path = store.join("submissions.jsonl");
+        let file = OpenOptions::new().create(true).append(true).open(&path)?;
         Ok(Journal {
-            path: store.join("submissions.jsonl"),
+            path,
+            file: Mutex::new(file),
         })
     }
 
     fn append(&self, line: &JournalLine) {
-        let Ok(json) = serde_json::to_string(line) else {
+        let Ok(mut text) = serde_json::to_string(line) else {
             return;
         };
-        if let Ok(mut f) = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&self.path)
-        {
-            let _ = writeln!(f, "{json}");
-            let _ = f.sync_data();
+        text.push('\n');
+        let mut file = self.file.lock();
+        if file.write_all(text.as_bytes()).is_ok() {
+            let _ = file.sync_data();
         }
     }
 
@@ -455,5 +462,50 @@ fn stream_watch(
                 return false;
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn spec(seed: u64) -> SubmitSpec {
+        SubmitSpec {
+            app: "lu".into(),
+            procs: 2,
+            errors: "par".into(),
+            tests: 10,
+            seed,
+            ci: None,
+            min_tests: None,
+            fault_model: None,
+            replicate: None,
+        }
+    }
+
+    #[test]
+    fn concurrent_appends_replay_every_submission() {
+        let dir = std::env::temp_dir().join(format!("resilim-journal-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let journal = Journal::open(&dir).unwrap();
+        const THREADS: u64 = 8;
+        const PER_THREAD: u64 = 25;
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let journal = &journal;
+                s.spawn(move || {
+                    for i in 0..PER_THREAD {
+                        journal.append(&JournalLine {
+                            op: "submit".into(),
+                            spec: spec(t * PER_THREAD + i),
+                        });
+                    }
+                });
+            }
+        });
+        let mut seeds: Vec<u64> = journal.replay().iter().map(|s| s.seed).collect();
+        seeds.sort_unstable();
+        assert_eq!(seeds, (0..THREADS * PER_THREAD).collect::<Vec<_>>());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -71,7 +71,7 @@ impl SubmitSpec {
             None => FaultModelSpec::default(),
             Some(name) => FaultModelSpec::parse(name)?,
         };
-        resilim_harness::validate_fault_model(fault_model, errors, self.procs)?;
+        resilim_harness::validate_deployment(app, self.procs, errors, fault_model)?;
         let mut spec = CampaignSpec::new(
             app.default_spec(),
             self.procs,
@@ -429,6 +429,9 @@ mod tests {
             s.procs = 1;
         })
         .contains(">= 2 ranks"));
+        // An app with no parallel-unique computation cannot take
+        // `unique` errors; the daemon says so instead of panicking.
+        assert!(bad(|s| s.errors = "unique".into()).contains("lu at 2 rank(s) has none"));
     }
 
     #[test]

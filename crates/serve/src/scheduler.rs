@@ -236,12 +236,7 @@ impl Entry {
         };
         self.summary = Some(CampaignSummary::of(&self.spec, &result));
         self.state = CampaignState::Done;
-        if let Some(ledger) = &self.ledger {
-            ledger.sync();
-        }
-        if let Some(store) = &self.feature_store {
-            store.sync();
-        }
+        self.close_store();
         obs::count(obs::Counter::ServeCampaignsDone, 1);
         obs::gauge_add(obs::Gauge::ServeActiveCampaigns, -1);
         if obs::enabled() {
@@ -262,6 +257,15 @@ impl Entry {
         };
         self.watchers.retain(|w| w.send(terminal.clone()).is_ok());
         self.watchers.clear();
+    }
+
+    /// Close the campaign's ledger and feature files (dropping a writer
+    /// syncs it). Called on reaching a terminal state, after which
+    /// nothing is appended, so a finished campaign kept in the registry
+    /// holds no open file and no write state.
+    fn close_store(&mut self) {
+        self.ledger = None;
+        self.feature_store = None;
     }
 
     fn status(&self) -> crate::protocol::CampaignStatus {
@@ -568,12 +572,7 @@ impl Scheduler {
             return true;
         }
         entry.state = CampaignState::Cancelled;
-        if let Some(ledger) = &entry.ledger {
-            ledger.sync();
-        }
-        if let Some(store) = &entry.feature_store {
-            store.sync();
-        }
+        entry.close_store();
         obs::count(obs::Counter::ServeCampaignsCancelled, 1);
         obs::gauge_add(obs::Gauge::ServeActiveCampaigns, -1);
         if obs::enabled() {
