@@ -16,7 +16,9 @@
 //! `--require-speedup` additionally fails the run when the host has
 //! more than one core but `jobs=auto` is not faster than `jobs=1` —
 //! the multi-core scaling demonstration, enforced on CI runners
-//! because single-core hosts cannot measure it.
+//! because single-core hosts cannot measure it. It also fails when
+//! `jobs=auto` resolves to a single worker on such a host: that run
+//! would compare `jobs=1` against itself and pass or fail on noise.
 //!
 //! ```text
 //! campaign_snapshot [--tests N] [--out FILE] [--baseline FILE] [--tolerance T]
@@ -129,6 +131,13 @@ fn main() {
     if require_speedup {
         if host_cores <= 1 {
             eprintln!("  --require-speedup: single-core host, nothing to demonstrate");
+        } else if jobs_auto <= 1 {
+            eprintln!(
+                "--require-speedup: jobs=auto resolved to {jobs_auto} worker on a \
+                 {host_cores}-core host, so jobs=auto and jobs=1 are the same run \
+                 and no speedup can be demonstrated"
+            );
+            std::process::exit(1);
         } else if tps_auto <= tps_jobs1 {
             eprintln!(
                 "no multi-core speedup: jobs=auto ({jobs_auto}) ran {tps_auto:.2} trials/sec \

@@ -32,23 +32,29 @@ enum Parallelism {
     Auto,
 }
 
+/// Rank threads `--jobs auto` budgets per core. Rank threads spend most
+/// of a trial blocked on messages, so one core keeps several of them
+/// busy: on a 2-core host CG p=4 runs 1.3–1.6× faster at two workers
+/// than at one.
+const RANK_THREADS_PER_CORE: usize = 4;
+
 /// The worker count `--jobs auto` resolves to on a host with `cores`
 /// logical CPUs for a `procs`-rank deployment.
 ///
 /// Each worker runs a whole world of `procs` rank threads, so the
-/// useful fan-out is `cores / procs` — and when the host cannot fit
-/// even one extra world (`cores <= procs`, e.g. the 1-core CI runner
-/// driving a p=4 campaign) the answer is exactly 1 worker: the runner
-/// must take its sequential path, paying no claim-counter or
-/// pipeline-lock overhead for parallelism the host cannot deliver
-/// (the `--jobs auto` pessimization recorded in BENCH_campaign.json).
+/// fan-out is the rank-thread budget divided by the world size:
+/// `clamp(RANK_THREADS_PER_CORE * cores / procs, 1, cores)`. The clamps
+/// keep two properties. A 1-core host always gets exactly 1 worker, so
+/// the runner takes its sequential path and pays no claim-counter or
+/// pipeline-lock overhead for parallelism the host cannot deliver (the
+/// `--jobs auto` pessimization recorded in BENCH_campaign.json). And
+/// wide worlds on small hosts stay at 1 worker (p=64 below 32 cores):
+/// a second concurrent 64-rank world doubles the live rank threads and
+/// message buffers. On a 2-core host it raised the `truth64` benchmark's
+/// peak RSS by ~70% and cut its wall time by under 5%.
 pub fn auto_worker_count(cores: usize, procs: usize) -> usize {
-    let procs = procs.max(1);
-    if cores <= procs {
-        1
-    } else {
-        cores / procs
-    }
+    let cores = cores.max(1);
+    (RANK_THREADS_PER_CORE * cores / procs.max(1)).clamp(1, cores)
 }
 
 /// Runs campaigns, caching both golden runs and whole campaign results
@@ -108,8 +114,8 @@ impl CampaignRunner {
     }
 
     /// Run up to `k` fault-injection tests concurrently (each test already
-    /// runs `procs` rank threads, so a sensible `k` is
-    /// `cores / procs`, floored at 1). Results are bitwise identical to a
+    /// runs `procs` rank threads; [`auto_worker_count`] is the default
+    /// choice). Results are bitwise identical to a
     /// sequential run: every test's randomness is derived from its index.
     pub fn with_test_parallelism(mut self, k: usize) -> CampaignRunner {
         self.parallelism = Parallelism::Fixed(k.max(1));
@@ -117,7 +123,7 @@ impl CampaignRunner {
     }
 
     /// Scale test parallelism to the host automatically:
-    /// `available_parallelism() / procs`, floored at 1, per campaign.
+    /// [`auto_worker_count`] of `available_parallelism()`, per campaign.
     /// Same bitwise-determinism guarantee as
     /// [`CampaignRunner::with_test_parallelism`].
     pub fn with_auto_parallelism(mut self) -> CampaignRunner {
@@ -729,23 +735,27 @@ mod tests {
         CampaignSpec::new(app.default_spec(), procs, errors, tests, 42)
     }
 
-    /// Regression for the `--jobs auto` pessimization on small hosts
-    /// (BENCH_campaign.json recorded 0.90× vs `jobs=1` on a 1-core
-    /// host): auto must resolve to exactly 1 worker whenever the host
-    /// cannot fit a second world, so the runner takes its sequential
-    /// path and never pays the shared-counter/pipeline-lock overhead.
+    /// The `--jobs auto` rule's properties: exactly 1 worker on every
+    /// 1-core host (the pessimization BENCH_campaign.json recorded at
+    /// 0.90× vs `jobs=1`), never more workers than cores, and p=64 kept
+    /// at 1 worker on small hosts (peak RSS) while p=4 on 2 cores uses
+    /// both cores.
     #[test]
-    fn auto_worker_count_clamps_to_one_on_small_hosts() {
-        // cores <= procs: one world already oversubscribes the host.
-        assert_eq!(auto_worker_count(1, 4), 1);
-        assert_eq!(auto_worker_count(2, 4), 1);
-        assert_eq!(auto_worker_count(4, 4), 1);
-        assert_eq!(auto_worker_count(1, 1), 1);
-        // cores > procs: one worker per world the host can fit.
-        assert_eq!(auto_worker_count(8, 4), 2);
-        assert_eq!(auto_worker_count(9, 4), 2);
-        assert_eq!(auto_worker_count(64, 4), 16);
-        assert_eq!(auto_worker_count(3, 2), 1);
+    fn auto_worker_count_follows_the_rank_thread_budget() {
+        for procs in [0, 1, 2, 3, 4, 8, 16, 64, 1024] {
+            assert_eq!(auto_worker_count(1, procs), 1, "1 core, p={procs}");
+            assert_eq!(auto_worker_count(0, procs), 1, "0 cores, p={procs}");
+            for cores in [2, 3, 4, 8, 16, 64, 256] {
+                let k = auto_worker_count(cores, procs);
+                assert!((1..=cores).contains(&k), "{cores} cores, p={procs}: {k}");
+            }
+        }
+        assert_eq!(auto_worker_count(2, 64), 1);
+        assert_eq!(auto_worker_count(16, 64), 1);
+        assert_eq!(auto_worker_count(2, 4), 2);
+        assert_eq!(auto_worker_count(4, 4), 4);
+        assert_eq!(auto_worker_count(8, 4), 8);
+        assert_eq!(auto_worker_count(64, 4), 64);
         assert_eq!(auto_worker_count(4, 1), 4);
         // Degenerate procs never divides by zero.
         assert_eq!(auto_worker_count(8, 0), 8);

@@ -48,8 +48,31 @@ fn auto_parallelism_matches_sequential_for_every_error_spec() {
 fn auto_parallelism_resolves_per_deployment() {
     let runner = CampaignRunner::new().with_auto_parallelism();
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    // One rank per world: one worker per core, never more.
     assert_eq!(runner.effective_parallelism(1), cores);
-    assert_eq!(runner.effective_parallelism(cores * 2), 1);
+    // Every world size resolves within [1, cores] and never grows with
+    // the world; a 1-core host runs everything sequentially.
+    let mut sizes = vec![1, 2, 4, 8, 16, 64, cores * 4, cores * 64];
+    sizes.sort_unstable();
+    let mut previous = cores;
+    for procs in sizes {
+        let k = runner.effective_parallelism(procs);
+        assert!((1..=cores).contains(&k), "p={procs} on {cores} cores: {k}");
+        assert!(
+            k <= previous,
+            "p={procs} on {cores} cores: {k} > {previous}"
+        );
+        if cores == 1 {
+            assert_eq!(k, 1, "p={procs} on a 1-core host");
+        }
+        previous = k;
+    }
+    // Worlds far wider than the host (p=64 on 2 cores) stay at 1 worker;
+    // a p=4 world on any multi-core host uses more than one.
+    assert_eq!(runner.effective_parallelism(cores * 64), 1);
+    if cores >= 2 {
+        assert!(runner.effective_parallelism(4) > 1, "p=4 on {cores} cores");
+    }
     let fixed = CampaignRunner::new().with_test_parallelism(3);
     assert_eq!(fixed.effective_parallelism(1), 3);
     assert_eq!(fixed.effective_parallelism(64), 3);

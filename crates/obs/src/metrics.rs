@@ -28,6 +28,10 @@ pub enum Counter {
     BytesSent,
     /// Tainted f64 elements observed in received payloads.
     TaintedElemsRecvd,
+    /// Times a receive found no matching message and blocked on its
+    /// mailbox (each wake-up that finds nothing and blocks again counts
+    /// once more).
+    RecvWaits,
     /// Injection hang-guard trips (op budget exceeded).
     HangGuardTrips,
     /// Golden-run cache hits.
@@ -87,7 +91,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in stable report order.
-    pub const ALL: [Counter; 32] = [
+    pub const ALL: [Counter; 33] = [
         Counter::InjectionsFired,
         Counter::TaintBorn,
         Counter::OpsCommon,
@@ -96,6 +100,7 @@ impl Counter {
         Counter::MsgsRecvd,
         Counter::BytesSent,
         Counter::TaintedElemsRecvd,
+        Counter::RecvWaits,
         Counter::HangGuardTrips,
         Counter::GoldenCacheHits,
         Counter::GoldenCacheMisses,
@@ -133,6 +138,7 @@ impl Counter {
             Counter::MsgsRecvd => "msgs_recvd",
             Counter::BytesSent => "bytes_sent",
             Counter::TaintedElemsRecvd => "tainted_elems_recvd",
+            Counter::RecvWaits => "recv_waits",
             Counter::HangGuardTrips => "hang_guard_trips",
             Counter::GoldenCacheHits => "golden_cache_hits",
             Counter::GoldenCacheMisses => "golden_cache_misses",

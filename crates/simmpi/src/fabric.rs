@@ -5,10 +5,33 @@
 //! block; receives block with a timeout and support `(src, tag)` matching
 //! with out-of-order buffering, like MPI's unexpected-message queue.
 //!
+//! # Wake protocol
+//!
+//! A mailbox has exactly one receiver, its owning rank, and a send wakes
+//! that receiver only for the message it is blocked on:
+//!
+//! * before a receive waits, it records the `(src, tag)` it is waiting
+//!   for in the mailbox, under the mailbox lock, and it clears the record
+//!   under the same lock on every exit (match, [`MpiError::FabricDead`]
+//!   or [`MpiError::RecvTimeout`]);
+//! * a send pushes its envelope and reads the record under the lock, then
+//!   calls `notify_one` *after* unlocking, and only if the record names
+//!   its `(src, tag)`. Messages the receiver is not waiting for are only
+//!   buffered: no syscall, no wake-up, no lock hand-off.
+//!
+//! No wake-up is lost. The receiver checks its queue and sets the record
+//! in one critical section, and the condvar wait releases the lock
+//! atomically with blocking. A sender that pushes the awaited message
+//! therefore either runs before that critical section (the receiver
+//! finds the message and never waits) or after it (the sender reads the
+//! record and notifies a receiver that is already waiting). A stale
+//! notify that lands after the receiver moved on is a spurious wake-up,
+//! which the receive loop absorbs by re-checking its queue.
+//!
 //! When a rank dies, the fabric is *poisoned*: every pending and future
 //! receive fails fast with [`MpiError::FabricDead`], so one rank's crash
 //! tears the whole job down instead of hanging it — the behaviour of
-//! `MPI_Abort`.
+//! `MPI_Abort`. Poisoning wakes every receiver whatever it waits for.
 
 use crate::error::MpiError;
 use crate::payload::Payload;
@@ -62,8 +85,28 @@ pub struct Envelope {
     pub payload: Payload,
 }
 
+/// A mailbox's lock-protected state.
+struct Inbox {
+    /// Buffered messages, in arrival order.
+    queue: VecDeque<Envelope>,
+    /// The `(src, tag)` the owning rank is blocked on, if it is blocked
+    /// (see the module docs' wake protocol).
+    waiting: Option<(usize, u64)>,
+}
+
+impl Inbox {
+    /// Remove the first buffered message from `src` with `tag`.
+    fn take(&mut self, src: usize, tag: u64) -> Option<Payload> {
+        let pos = self
+            .queue
+            .iter()
+            .position(|e| e.src == src && e.tag == tag)?;
+        self.queue.remove(pos).map(|e| e.payload)
+    }
+}
+
 struct Mailbox {
-    queue: Mutex<VecDeque<Envelope>>,
+    inbox: Mutex<Inbox>,
     arrived: Condvar,
 }
 
@@ -87,7 +130,10 @@ impl Fabric {
         Fabric {
             boxes: (0..size)
                 .map(|_| Mailbox {
-                    queue: Mutex::new(VecDeque::new()),
+                    inbox: Mutex::new(Inbox {
+                        queue: VecDeque::new(),
+                        waiting: None,
+                    }),
                     arrived: Condvar::new(),
                 })
                 .collect(),
@@ -113,7 +159,7 @@ impl Fabric {
         for mb in &self.boxes {
             // Acquire the lock so a receiver between its dead-check and its
             // wait cannot miss the wake-up.
-            let _guard = mb.queue.lock();
+            let _guard = mb.inbox.lock();
             mb.arrived.notify_all();
         }
     }
@@ -157,53 +203,67 @@ impl Fabric {
             obs::count(obs::Counter::MsgsSent, 1);
             obs::count(obs::Counter::BytesSent, payload.wire_bytes() as u64);
         }
-        let mut q = mb.queue.lock();
-        q.push_back(Envelope { src, tag, payload });
-        mb.arrived.notify_all();
+        let wake = {
+            let mut inbox = mb.inbox.lock();
+            inbox.queue.push_back(Envelope { src, tag, payload });
+            inbox.waiting == Some((src, tag))
+        };
+        if wake {
+            mb.arrived.notify_one();
+        }
         Ok(())
     }
 
     /// Blocking receive of the first message matching `(src, tag)` in
-    /// `me`'s mailbox. Non-matching messages stay buffered.
+    /// `me`'s mailbox. Non-matching messages stay buffered. Only rank `me`
+    /// may receive from its mailbox (the wake protocol has one waiter).
     pub fn recv(&self, me: usize, src: usize, tag: u64) -> Result<Payload, MpiError> {
         let mb = self.boxes.get(me).ok_or(MpiError::InvalidRank {
             rank: me,
             size: self.size(),
         })?;
-        let deadline = Instant::now() + self.timeout;
-        let mut q = mb.queue.lock();
-        loop {
-            if let Some(pos) = q.iter().position(|e| e.src == src && e.tag == tag) {
-                let payload = q.remove(pos).expect("position just found").payload;
-                #[cfg(feature = "obs")]
-                note_recv(&payload);
-                return Ok(payload);
+        let mut inbox = mb.inbox.lock();
+        debug_assert!(
+            inbox.waiting.is_none(),
+            "two receivers on rank {me}'s mailbox"
+        );
+        let mut deadline = None;
+        let mut timed_out = false;
+        let result = loop {
+            if let Some(payload) = inbox.take(src, tag) {
+                break Ok(payload);
             }
             if self.is_dead() {
-                return Err(MpiError::FabricDead);
+                break Err(MpiError::FabricDead);
             }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(MpiError::RecvTimeout { rank: me, src, tag });
+            // A wait that timed out still re-checks the queue and the
+            // poison flag above: the message may have raced the deadline.
+            if timed_out {
+                break Err(MpiError::RecvTimeout { rank: me, src, tag });
             }
-            if mb.arrived.wait_until(&mut q, deadline).timed_out() {
-                // Loop once more: the message may have raced the timeout.
-                if let Some(pos) = q.iter().position(|e| e.src == src && e.tag == tag) {
-                    return Ok(q.remove(pos).expect("position just found").payload);
-                }
-                if self.is_dead() {
-                    return Err(MpiError::FabricDead);
-                }
-                return Err(MpiError::RecvTimeout { rank: me, src, tag });
-            }
+            let deadline = *deadline.get_or_insert_with(|| Instant::now() + self.timeout);
+            inbox.waiting = Some((src, tag));
+            #[cfg(feature = "obs")]
+            obs::count(obs::Counter::RecvWaits, 1);
+            timed_out = mb.arrived.wait_until(&mut inbox, deadline).timed_out();
+        };
+        inbox.waiting = None;
+        drop(inbox);
+        #[cfg(feature = "obs")]
+        if let Ok(payload) = &result {
+            note_recv(payload);
         }
+        result
     }
 
     /// Number of buffered (undelivered) messages across all mailboxes.
     /// Useful for leak checks in tests: a clean SPMD program ends with an
     /// empty fabric.
     pub fn pending_messages(&self) -> usize {
-        self.boxes.iter().map(|mb| mb.queue.lock().len()).sum()
+        self.boxes
+            .iter()
+            .map(|mb| mb.inbox.lock().queue.len())
+            .sum()
     }
 }
 
@@ -282,6 +342,49 @@ mod tests {
             MpiError::FabricDead
         ));
         assert!(f.send(0, 1, 5, Payload::Bytes(vec![])).is_err());
+    }
+
+    /// A message that lands while the receiver's wait is timing out is
+    /// delivered, and counted like any other: the test holds the inbox
+    /// lock across the deadline, pushes the message, and only then lets
+    /// the timed-out receiver re-acquire the lock.
+    #[cfg(feature = "obs")]
+    #[test]
+    fn message_racing_the_deadline_is_delivered_and_counted() {
+        const TAINTED: usize = 4096;
+        let f = Arc::new(Fabric::new(2, Duration::from_millis(40)));
+        let was_enabled = obs::enabled();
+        obs::set_enabled(true);
+        let before = obs::MetricsSnapshot::capture();
+        let f2 = Arc::clone(&f);
+        let h = std::thread::spawn(move || f2.recv(1, 0, 5));
+        while f.boxes[1].inbox.lock().waiting.is_none() {
+            std::thread::yield_now();
+        }
+        {
+            let mut inbox = f.boxes[1].inbox.lock();
+            // Past the receiver's deadline: its wait has timed out and is
+            // now blocked re-acquiring this lock.
+            std::thread::sleep(Duration::from_millis(120));
+            let values = (0..TAINTED)
+                .map(|i| Tf64::from_parts(i as f64 + 0.5, i as f64))
+                .collect();
+            inbox.queue.push_back(Envelope {
+                src: 0,
+                tag: 5,
+                payload: Payload::F64(values),
+            });
+        }
+        let got = h.join().unwrap().expect("raced message is delivered");
+        let d = obs::MetricsSnapshot::capture().delta(&before);
+        obs::set_enabled(was_enabled);
+        assert_eq!(got.tainted_elems(), TAINTED);
+        assert_eq!(f.pending_messages(), 0);
+        // Other unit tests may pass messages while the recorder is on, so
+        // the counters are lower bounds; this message alone is `TAINTED`.
+        assert!(d.counter(obs::Counter::MsgsRecvd) >= 1);
+        assert!(d.counter(obs::Counter::TaintedElemsRecvd) >= TAINTED as u64);
+        assert!(f.boxes[1].inbox.lock().waiting.is_none());
     }
 
     #[test]

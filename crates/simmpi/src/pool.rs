@@ -32,30 +32,49 @@ struct Worker {
 /// Counts job completions so `scope_run` can wait for exactly the jobs it
 /// dispatched — including on the unwind path, where waiting is what makes
 /// the lifetime erasure sound.
+///
+/// The waiter records its target under the lock, so only the arrival that
+/// reaches it notifies: `scope_run` wakes once per world, not once per
+/// rank. The notify happens under the lock, so the waiter cannot return
+/// (and free the latch on its stack) before the arriving thread is done
+/// touching it.
 struct Latch {
-    arrived: Mutex<usize>,
+    state: Mutex<LatchState>,
     changed: Condvar,
+}
+
+struct LatchState {
+    arrived: usize,
+    /// The arrival count a blocked `wait_for` needs, if one is blocked.
+    target: Option<usize>,
 }
 
 impl Latch {
     fn new() -> Latch {
         Latch {
-            arrived: Mutex::new(0),
+            state: Mutex::new(LatchState {
+                arrived: 0,
+                target: None,
+            }),
             changed: Condvar::new(),
         }
     }
 
     fn arrive(&self) {
-        let mut n = self.arrived.lock();
-        *n += 1;
-        self.changed.notify_all();
+        let mut s = self.state.lock();
+        s.arrived += 1;
+        if s.target == Some(s.arrived) {
+            self.changed.notify_one();
+        }
     }
 
     fn wait_for(&self, target: usize) {
-        let mut n = self.arrived.lock();
-        while *n < target {
-            self.changed.wait(&mut n);
+        let mut s = self.state.lock();
+        while s.arrived < target {
+            s.target = Some(target);
+            self.changed.wait(&mut s);
         }
+        s.target = None;
     }
 }
 
