@@ -109,8 +109,9 @@ fn setup_observability(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-/// Build the campaign runner the parsed flags describe.
-fn build_runner(opts: &Options) -> CampaignRunner {
+/// Build the campaign runner the parsed flags describe. Fails, naming
+/// the path, when `--store` cannot hold the ledger and feature store.
+fn build_runner(opts: &Options) -> Result<CampaignRunner, String> {
     let mut runner = match opts.jobs {
         None => CampaignRunner::new().with_auto_parallelism(),
         Some(k) => CampaignRunner::new().with_test_parallelism(k),
@@ -120,10 +121,16 @@ fn build_runner(opts: &Options) -> CampaignRunner {
         // repeated invocations with the same --store skip re-profiling.
         // The trial ledger lives next to them; every completed trial is
         // appended durably so `--resume`/`merge` can pick it up.
+        let dir = std::path::Path::new(dir);
+        for sub in ["ledger", "features"] {
+            let path = dir.join(sub);
+            std::fs::create_dir_all(&path)
+                .map_err(|e| format!("--store {}: {e}", path.display()))?;
+        }
         runner = runner
-            .with_golden_dir(std::path::Path::new(dir).join("golden"))
-            .with_ledger_dir(std::path::Path::new(dir).join("ledger"))
-            .with_feature_dir(std::path::Path::new(dir).join("features"));
+            .with_golden_dir(dir.join("golden"))
+            .with_ledger_dir(dir.join("ledger"))
+            .with_feature_dir(dir.join("features"));
     }
     runner = runner.with_resume(opts.resume);
     if let Some(shard) = opts.shard {
@@ -138,7 +145,7 @@ fn build_runner(opts: &Options) -> CampaignRunner {
     if let Some(batch) = opts.batch {
         runner = runner.with_trial_batch(batch);
     }
-    runner
+    Ok(runner)
 }
 
 fn main() -> ExitCode {
@@ -154,7 +161,13 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     let metrics_before = resilim_obs::MetricsSnapshot::capture();
-    let runner = build_runner(&opts);
+    let runner = match build_runner(&opts) {
+        Ok(runner) => runner,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let outcome = cmd::run_command(&opts, &runner, &opts.command.clone());
     resilim_obs::flush_sinks();
     if opts.metrics && opts.command != "metrics" {

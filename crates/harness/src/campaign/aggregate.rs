@@ -9,6 +9,7 @@ use crate::ledger::TrialLedger;
 use resilim_core::{FiAccumulator, FiResult, PropagationProfile, StopRule, TrialFeatures};
 use resilim_inject::{OutcomeKind, TestOutcome};
 use resilim_obs as obs;
+use std::borrow::Borrow;
 
 /// Aggregate per-test outcomes into the campaign statistics (batch
 /// form; delegates to the same [`FiAccumulator`] the streaming path
@@ -119,16 +120,19 @@ impl TrialConsumer for CampaignAccumulator {
 /// [`TrialConsumer::finish`], so a completed (or stopped) campaign's
 /// ledger contents are identical at every batch size; only the
 /// crash-durability lag grows (bounded by the batch).
-pub struct LedgerConsumer<'a> {
-    ledger: Option<&'a TrialLedger>,
+///
+/// `L` is the ledger itself (a campaign session owns its store) or a
+/// reference to one.
+pub struct LedgerConsumer<L = TrialLedger> {
+    ledger: Option<L>,
     batch: usize,
     buffered: Vec<(usize, TestOutcome, u32)>,
 }
 
-impl<'a> LedgerConsumer<'a> {
+impl<L: Borrow<TrialLedger>> LedgerConsumer<L> {
     /// Consumer appending to `ledger` (no-op when `None`), one write
     /// per record.
-    pub fn new(ledger: Option<&'a TrialLedger>) -> LedgerConsumer<'a> {
+    pub fn new(ledger: Option<L>) -> LedgerConsumer<L> {
         LedgerConsumer {
             ledger,
             batch: 1,
@@ -137,20 +141,20 @@ impl<'a> LedgerConsumer<'a> {
     }
 
     /// Buffer up to `batch` records per ledger write (1 = unbuffered).
-    pub fn with_batch(mut self, batch: usize) -> LedgerConsumer<'a> {
+    pub fn with_batch(mut self, batch: usize) -> LedgerConsumer<L> {
         self.batch = batch.max(1);
         self
     }
 
     fn flush(&mut self) {
-        if let Some(ledger) = self.ledger {
-            ledger.append_batch(&self.buffered);
+        if let Some(ledger) = &self.ledger {
+            ledger.borrow().append_batch(&self.buffered);
         }
         self.buffered.clear();
     }
 }
 
-impl TrialConsumer for LedgerConsumer<'_> {
+impl<L: Borrow<TrialLedger> + Send> TrialConsumer for LedgerConsumer<L> {
     fn consume(&mut self, rec: &TrialRecord) -> bool {
         if !rec.resumed && self.ledger.is_some() {
             self.buffered.push((rec.index, rec.outcome, rec.attempts));
@@ -163,8 +167,8 @@ impl TrialConsumer for LedgerConsumer<'_> {
 
     fn finish(&mut self) {
         self.flush();
-        if let Some(ledger) = self.ledger {
-            ledger.sync();
+        if let Some(ledger) = &self.ledger {
+            ledger.borrow().sync();
         }
     }
 }
@@ -179,16 +183,16 @@ impl TrialConsumer for LedgerConsumer<'_> {
 /// Batching mirrors [`LedgerConsumer`]: records buffer up to `batch`
 /// per write and drain on [`TrialConsumer::finish`], so batch size
 /// changes durability lag, never file contents.
-pub struct FeatureConsumer<'a> {
-    store: Option<&'a FeatureStore>,
+pub struct FeatureConsumer<S = FeatureStore> {
+    store: Option<S>,
     batch: usize,
     buffered: Vec<(usize, TrialFeatures)>,
 }
 
-impl<'a> FeatureConsumer<'a> {
+impl<S: Borrow<FeatureStore>> FeatureConsumer<S> {
     /// Consumer appending to `store` (no-op when `None`), one write per
     /// record.
-    pub fn new(store: Option<&'a FeatureStore>) -> FeatureConsumer<'a> {
+    pub fn new(store: Option<S>) -> FeatureConsumer<S> {
         FeatureConsumer {
             store,
             batch: 1,
@@ -197,22 +201,22 @@ impl<'a> FeatureConsumer<'a> {
     }
 
     /// Buffer up to `batch` records per store write (1 = unbuffered).
-    pub fn with_batch(mut self, batch: usize) -> FeatureConsumer<'a> {
+    pub fn with_batch(mut self, batch: usize) -> FeatureConsumer<S> {
         self.batch = batch.max(1);
         self
     }
 
     fn flush(&mut self) {
-        if let Some(store) = self.store {
-            store.append_batch(&self.buffered);
+        if let Some(store) = &self.store {
+            store.borrow().append_batch(&self.buffered);
         }
         self.buffered.clear();
     }
 }
 
-impl TrialConsumer for FeatureConsumer<'_> {
+impl<S: Borrow<FeatureStore> + Send> TrialConsumer for FeatureConsumer<S> {
     fn consume(&mut self, rec: &TrialRecord) -> bool {
-        if let (Some(features), false, Some(_)) = (rec.features, rec.resumed, self.store) {
+        if let (Some(features), false, Some(_)) = (rec.features, rec.resumed, &self.store) {
             self.buffered.push((rec.index, features));
             if self.buffered.len() >= self.batch {
                 self.flush();
@@ -223,8 +227,8 @@ impl TrialConsumer for FeatureConsumer<'_> {
 
     fn finish(&mut self) {
         self.flush();
-        if let Some(store) = self.store {
-            store.sync();
+        if let Some(store) = &self.store {
+            store.borrow().sync();
         }
     }
 }

@@ -23,12 +23,16 @@
 //! * [`aggregate`] — the built-in consumers: online aggregation with
 //!   adaptive stopping, ledger persistence, obs trial events, and
 //!   convergence plot series.
-//! * [`runner`] — [`CampaignRunner`]: caching, parallelism, durability,
-//!   and the wiring of all of the above.
+//! * [`session`] — [`CampaignSession`]: one campaign's store, resume,
+//!   in-order delivery to the consumers, and result; the one-shot runner
+//!   and the `resilim serve` scheduler both drive it.
+//! * [`runner`] — [`CampaignRunner`]: configuration, caching, and the
+//!   worker loop that drives a session.
 
 pub mod aggregate;
 mod exec;
 pub mod runner;
+pub mod session;
 pub mod spec;
 pub mod stream;
 
@@ -37,6 +41,7 @@ pub use aggregate::{
     ObsTrialConsumer,
 };
 pub use runner::{auto_worker_count, CampaignRunner, TrialExecutor};
+pub use session::CampaignSession;
 pub use spec::{
     validate_deployment, CampaignResult, CampaignSpec, ErrorSpec, DEFAULT_TAINT_THRESHOLD,
 };

@@ -1,13 +1,12 @@
-//! The campaign runner: caching, parallel trial execution, durability
-//! (ledger/resume/shard/watchdog), and the streaming pipeline that
-//! turns completed trials into a [`CampaignResult`].
+//! The campaign runner: configuration (store, resume, shard, watchdog,
+//! parallelism), caching, and the worker loop that runs a
+//! [`CampaignSession`]'s trials into a [`CampaignResult`].
 
-use super::aggregate::{
-    aggregate_outcomes, CampaignAccumulator, FeatureConsumer, LedgerConsumer, ObsTrialConsumer,
-};
+use super::aggregate::aggregate_outcomes;
 use super::exec;
-use super::spec::{CampaignResult, CampaignSpec, ErrorSpec};
-use super::stream::{TrialConsumer, TrialPipeline, TrialRecord};
+use super::session::CampaignSession;
+use super::spec::{CampaignResult, CampaignSpec};
+use super::stream::TrialRecord;
 use crate::features::FeatureStore;
 use crate::golden::{Flights, GoldenRun, GoldenStore};
 use crate::ledger::{RetryPolicy, Shard, TrialLedger};
@@ -45,8 +44,9 @@ const RANK_THREADS_PER_CORE: usize = 4;
 /// fan-out is the rank-thread budget divided by the world size:
 /// `clamp(RANK_THREADS_PER_CORE * cores / procs, 1, cores)`. The clamps
 /// keep two properties. A 1-core host always gets exactly 1 worker, so
-/// the runner takes its sequential path and pays no claim-counter or
-/// pipeline-lock overhead for parallelism the host cannot deliver (the
+/// the runner's worker loop runs inline on the calling thread: no
+/// thread spawn, and its claim counter and session lock are never
+/// contended, for parallelism the host cannot deliver (the
 /// `--jobs auto` pessimization recorded in BENCH_campaign.json). And
 /// wide worlds on small hosts stay at 1 worker (p=64 below 32 cores):
 /// a second concurrent 64-rank world doubles the live rank threads and
@@ -68,14 +68,14 @@ pub struct CampaignRunner {
     flights: Flights<String, CampaignResult>,
     parallelism: Parallelism,
     /// Durable per-trial ledger directory (`--store DIR/ledger`).
-    ledger_dir: Option<PathBuf>,
+    pub(super) ledger_dir: Option<PathBuf>,
     /// Durable per-trial feature-store directory
     /// (`--store DIR/features`).
-    feature_dir: Option<PathBuf>,
+    pub(super) feature_dir: Option<PathBuf>,
     /// Skip trials already present in the ledger (`--resume`).
-    resume: bool,
+    pub(super) resume: bool,
     /// Deterministic trial partition this runner executes (`--shard`).
-    shard: Option<Shard>,
+    pub(super) shard: Option<Shard>,
     /// Wall-clock watchdog per trial; `None` disables the watchdog.
     trial_deadline: Option<Duration>,
     /// Retry budget/backoff for watchdog-tripped trials.
@@ -85,7 +85,7 @@ pub struct CampaignRunner {
     /// `resilim check`'s replay-identity oracle).
     spawn_per_trial: bool,
     /// Trials admitted/committed per pipeline transaction (`--batch`).
-    trial_batch: usize,
+    pub(super) trial_batch: usize,
 }
 
 impl Default for CampaignRunner {
@@ -300,223 +300,63 @@ impl CampaignRunner {
     /// Run a campaign without touching the campaign cache (golden runs are
     /// still cached). Used by benches that time campaign execution.
     ///
-    /// Completed trials flow as [`TrialRecord`] events through a
-    /// [`TrialPipeline`]: a reorder buffer delivers them in trial-index
-    /// order to the aggregation, ledger, and obs consumers, so every
-    /// statistic is a pure fold of the in-order stream regardless of
-    /// worker count — and an adaptive [`CampaignSpec::stop`] rule stops
-    /// the campaign at a deterministic trial.
+    /// A [`CampaignSession`] opens the store, seeds resumed trials and
+    /// delivers completed ones in trial-index order to the aggregation,
+    /// ledger, feature and obs sinks, so every statistic is a pure fold
+    /// of the in-order stream regardless of worker count — and an
+    /// adaptive [`CampaignSpec::stop`] rule stops the campaign at a
+    /// deterministic trial. Panics, naming the directory, if a
+    /// configured store cannot be opened.
     pub fn run_uncached(&self, spec: &CampaignSpec) -> CampaignResult {
-        if let ErrorSpec::SerialErrors(_) = spec.errors {
-            assert_eq!(spec.procs, 1, "SerialErrors campaigns run serially");
-        }
-        let metrics_before = obs::MetricsSnapshot::capture();
-        let campaign_id = obs::next_campaign_id();
-        if obs::enabled() {
-            obs::emit(&obs::Event::CampaignStart {
-                campaign: campaign_id,
-                app: spec.spec.app().name().to_string(),
-                procs: spec.procs,
-                tests: spec.tests,
-                errors: format!("{:?}", spec.errors),
-            });
-        }
-        let executor = TrialExecutor {
-            spec: spec.clone(),
-            golden: self.golden.get_masked(&spec.spec, spec.procs, spec.op_mask),
-            backend: self.exec_backend(spec.replicate),
-            retry: self.retry,
-            campaign_id,
-        };
-        let golden = Arc::clone(&executor.golden);
-
-        let start = Instant::now();
-        // The trials this process executes: the shard's slice of the
-        // index space (everything without a shard), minus whatever the
-        // ledger already holds when resuming. Records are keyed by
-        // trial index and delivered in owned order, so any
-        // partition/skip/completion-order combination aggregates
-        // bitwise identically.
-        let owned: Vec<usize> = (0..spec.tests)
-            .filter(|&t| self.shard.is_none_or(|s| s.owns(t)))
-            .collect();
-        if self.shard.is_some() {
-            obs::count(
-                obs::Counter::ShardTrialsSkipped,
-                (spec.tests - owned.len()) as u64,
-            );
-        }
-        let ledger_key = spec.ledger_key();
-        let ledger = self
-            .ledger_dir
-            .as_ref()
-            .and_then(|dir| TrialLedger::open(dir, &ledger_key, spec.seed).ok());
-        let feature_store = self
-            .feature_dir
-            .as_ref()
-            .and_then(|dir| FeatureStore::open(dir, &ledger_key, spec.seed).ok());
-        let mut resumed: HashMap<usize, TestOutcome> = match (&self.ledger_dir, self.resume) {
-            (Some(dir), true) => TrialLedger::load(dir, &ledger_key, spec.seed),
-            _ => HashMap::new(),
-        };
-        resumed.retain(|&t, _| t < spec.tests);
-        // Resumed trials' features were persisted by the run that
-        // executed them: reload them so the in-memory result still
-        // carries a full training set, without re-appending them (the
-        // feature consumer skips resumed records).
-        let resumed_features = match (&self.feature_dir, self.resume) {
-            (Some(dir), true) => FeatureStore::load(dir, &ledger_key, spec.seed),
-            _ => HashMap::new(),
-        };
-        let pending: Vec<usize> = owned
-            .iter()
-            .copied()
-            .filter(|t| !resumed.contains_key(t))
-            .collect();
-        obs::count(
-            obs::Counter::TrialsResumed,
-            (owned.len() - pending.len()) as u64,
-        );
-
-        let mut aggregator = CampaignAccumulator::new(spec.procs, spec.stop);
-        let mut ledger_sink = LedgerConsumer::new(ledger.as_ref()).with_batch(self.trial_batch);
-        let mut feature_sink =
-            FeatureConsumer::new(feature_store.as_ref()).with_batch(self.trial_batch);
-        let mut obs_sink = ObsTrialConsumer::new(campaign_id);
-        let (stopped_early, delivered) = {
-            let consumers: Vec<&mut dyn TrialConsumer> = vec![
-                &mut aggregator,
-                &mut ledger_sink,
-                &mut feature_sink,
-                &mut obs_sink,
-            ];
-            let mut pipeline = TrialPipeline::new(owned.clone(), consumers);
-            // Seed resumed records first: they may satisfy the stop rule
-            // before any fresh trial runs.
-            for &t in &owned {
-                if let Some(outcome) = resumed.get(&t) {
-                    pipeline.push(TrialRecord {
-                        index: t,
-                        outcome: *outcome,
-                        attempts: 0,
-                        resumed: true,
-                        latency_us: 0,
-                        features: resumed_features.get(&t).copied(),
-                    });
+        let session = CampaignSession::open(self, spec).unwrap_or_else(|e| panic!("{e}"));
+        session.start();
+        let exec = Arc::clone(session.executor());
+        let pending = session.pending().to_vec();
+        let workers = self
+            .effective_parallelism(spec.procs)
+            .min(pending.len().max(1));
+        let batch = self.trial_batch;
+        // Workers claim contiguous chunks of `batch` pending positions
+        // from a shared counter and push their completions into the
+        // session under one lock, which reorders them; a stop request
+        // stops workers from claiming more. One worker runs the loop on
+        // this thread: no spawn, and the counter and lock uncontended.
+        let next = AtomicUsize::new(0);
+        let stop = AtomicBool::new(session.is_done());
+        let session = Mutex::new(session);
+        let work = || {
+            while !stop.load(Ordering::Relaxed) {
+                let pos = next.fetch_add(batch, Ordering::Relaxed);
+                if pos >= pending.len() {
+                    break;
+                }
+                let recs = exec.run_batch(&pending[pos..(pos + batch).min(pending.len())]);
+                if session.lock().push(recs) {
+                    stop.store(true, Ordering::Relaxed);
                 }
             }
-
-            let workers = self
-                .effective_parallelism(spec.procs)
-                .min(pending.len().max(1));
-            // Worker-region timer: spans exactly the trial-execution
-            // region (not golden profiling, not aggregation), so
-            // `WorkerBusyNanos / WorkerWallNanos` is a true utilization.
-            let worker_region = Instant::now();
-            let batch = self.trial_batch;
-            let pipeline = Mutex::new(pipeline);
-            if workers <= 1 {
-                let mut pos = 0;
-                while pos < pending.len() {
-                    if pipeline.lock().stopped() {
-                        break;
-                    }
-                    let chunk = &pending[pos..(pos + batch).min(pending.len())];
-                    pos += chunk.len();
-                    let mut recs = Vec::with_capacity(chunk.len());
-                    for &test in chunk {
-                        let busy = obs::timer();
-                        recs.push(executor.run_trial(test));
-                        note_worker_busy(busy);
-                    }
-                    pipeline.lock().push_batch(recs);
-                }
-            } else {
-                // Workers pull contiguous chunks of `batch` pending
-                // positions from a shared counter and push their
-                // completions into the pipeline under one lock, which
-                // reorders them; a stop request stops workers from
-                // claiming more.
-                let next = AtomicUsize::new(0);
-                let stop_flag = AtomicBool::new(pipeline.lock().stopped());
-                std::thread::scope(|scope| {
-                    for _ in 0..workers {
-                        scope.spawn(|| loop {
-                            if stop_flag.load(Ordering::Relaxed) {
-                                break;
-                            }
-                            let pos = next.fetch_add(batch, Ordering::Relaxed);
-                            if pos >= pending.len() {
-                                break;
-                            }
-                            let chunk = &pending[pos..(pos + batch).min(pending.len())];
-                            let mut recs = Vec::with_capacity(chunk.len());
-                            for &test in chunk {
-                                let busy = obs::timer();
-                                recs.push(executor.run_trial(test));
-                                note_worker_busy(busy);
-                            }
-                            let mut p = pipeline.lock();
-                            p.push_batch(recs);
-                            if p.stopped() {
-                                stop_flag.store(true, Ordering::Relaxed);
-                            }
-                        });
-                    }
-                });
-            }
-            if obs::enabled() {
-                obs::count(
-                    obs::Counter::WorkerWallNanos,
-                    (worker_region.elapsed().as_nanos().min(u64::MAX as u128) as u64)
-                        .saturating_mul(workers as u64),
-                );
-            }
-            let mut pipeline = pipeline.into_inner();
-            pipeline.finish();
-            assert!(
-                pipeline.stopped() || pipeline.is_drained(),
-                "every owned trial resumed or ran"
-            );
-            (pipeline.stopped(), pipeline.delivered())
         };
-        if stopped_early {
-            obs::count(obs::Counter::CampaignsStoppedEarly, 1);
-            obs::count(
-                obs::Counter::TrialsSavedByStopping,
-                (owned.len() - delivered) as u64,
-            );
-            if obs::enabled() {
-                obs::emit(&obs::Event::CampaignEarlyStop {
-                    campaign: campaign_id,
-                    at_trial: delivered,
-                    planned: spec.tests,
-                });
-            }
-        }
-        let wall = start.elapsed();
-
-        if obs::enabled() {
-            obs::emit(&obs::Event::CampaignEnd {
-                campaign: campaign_id,
-                wall_us: obs::as_micros(wall),
-                trials: delivered,
+        // Worker-region timer: spans exactly the trial-execution region
+        // (not golden profiling, not aggregation), so
+        // `WorkerBusyNanos / WorkerWallNanos` is a true utilization.
+        let worker_region = Instant::now();
+        if workers <= 1 {
+            work();
+        } else {
+            std::thread::scope(|scope| {
+                for _ in 0..workers {
+                    scope.spawn(work);
+                }
             });
         }
-        let (outcomes, features, fi, prop, by_contam, uncontaminated) = aggregator.into_parts();
-        CampaignResult {
-            procs: spec.procs,
-            fi,
-            prop,
-            by_contam,
-            uncontaminated,
-            outcomes,
-            features,
-            stopped_early,
-            wall,
-            golden,
-            metrics: obs::MetricsSnapshot::capture().delta(&metrics_before),
+        if obs::enabled() {
+            obs::count(
+                obs::Counter::WorkerWallNanos,
+                (worker_region.elapsed().as_nanos().min(u64::MAX as u128) as u64)
+                    .saturating_mul(workers as u64),
+            );
         }
+        session.into_inner().finish()
     }
 
     /// Package this runner's execution configuration for one campaign
@@ -600,9 +440,9 @@ impl CampaignRunner {
 /// any thread: the spec, the profiled golden run, the configured
 /// [`ExecBackend`], and the watchdog retry policy.
 ///
-/// [`CampaignRunner::run_uncached`] builds one per campaign and its
-/// workers share it; [`CampaignRunner::trial_executor`] hands the same
-/// object to external schedulers (the `resilim serve` daemon) so
+/// Every [`CampaignSession`] builds one with
+/// [`CampaignRunner::trial_executor`], whether the one-shot runner's
+/// workers or the `resilim serve` scheduler's run its trials, so
 /// multi-campaign execution reuses the exact per-trial path — bitwise
 /// identity with the one-shot runner is by construction, not by test.
 pub struct TrialExecutor {
@@ -697,6 +537,23 @@ impl TrialExecutor {
             features: Some(features),
         }
     }
+
+    /// Run one worker's claimed `tests` in order, adding each trial's
+    /// execution time to `WorkerBusyNanos`.
+    pub fn run_batch(&self, tests: &[usize]) -> Vec<TrialRecord> {
+        let run = |&test: &usize| {
+            let busy = obs::timer();
+            let rec = self.run_trial(test);
+            if let Some(busy) = busy {
+                obs::count(
+                    obs::Counter::WorkerBusyNanos,
+                    busy.elapsed().as_nanos().min(u64::MAX as u128) as u64,
+                );
+            }
+            rec
+        };
+        tests.iter().map(run).collect()
+    }
 }
 
 /// Record a campaign-cache lookup (hit = an Arc'd result was reused).
@@ -715,19 +572,10 @@ fn note_campaign_lookup(hit: bool) {
     });
 }
 
-/// Add one trial's execution time to `WorkerBusyNanos`.
-fn note_worker_busy(busy: Option<Instant>) {
-    if let Some(busy) = busy {
-        obs::count(
-            obs::Counter::WorkerBusyNanos,
-            busy.elapsed().as_nanos().min(u64::MAX as u128) as u64,
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::ErrorSpec;
     use resilim_apps::App;
     use resilim_core::{OutcomeKind, StopRule};
 

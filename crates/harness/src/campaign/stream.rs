@@ -45,16 +45,38 @@ pub struct TrialRecord {
 
 /// A sink folding in-order trial records; implementations compose into
 /// one [`TrialPipeline`] (aggregation, ledger persistence, obs events,
-/// plot series, ...).
+/// plot series, ...). A `Vec` of consumers is itself a consumer that
+/// fans each record out to every element in order.
 pub trait TrialConsumer: Send {
     /// Fold one record. Records arrive in strict owned-index order.
     /// Return `true` to request the campaign stop early; any consumer
     /// may request a stop and the pipeline stops at the first request.
     fn consume(&mut self, rec: &TrialRecord) -> bool;
 
-    /// Called once when the pipeline is done delivering (drained or
-    /// stopped).
+    /// Called when the pipeline is done delivering (drained or
+    /// stopped), or when its owner flushes it early.
     fn finish(&mut self) {}
+}
+
+impl<T: TrialConsumer + ?Sized> TrialConsumer for &mut T {
+    fn consume(&mut self, rec: &TrialRecord) -> bool {
+        (**self).consume(rec)
+    }
+
+    fn finish(&mut self) {
+        (**self).finish();
+    }
+}
+
+impl<C: TrialConsumer> TrialConsumer for Vec<C> {
+    /// Every element sees the record, even after one requests a stop.
+    fn consume(&mut self, rec: &TrialRecord) -> bool {
+        self.iter_mut().fold(false, |stop, c| c.consume(rec) | stop)
+    }
+
+    fn finish(&mut self) {
+        self.iter_mut().for_each(|c| c.finish());
+    }
 }
 
 /// Reorders out-of-order completions into owned-index order.
@@ -108,25 +130,23 @@ impl ReorderBuffer {
     }
 }
 
-/// A [`ReorderBuffer`] wired to a set of [`TrialConsumer`]s: `push` a
-/// completed trial and every record that became in-order is delivered
-/// to all consumers immediately (live streaming, not post-hoc).
-pub struct TrialPipeline<'c> {
+/// A [`ReorderBuffer`] wired to a [`TrialConsumer`] it owns (a `Vec`
+/// of consumers for several): `push` a completed trial and every record
+/// that became in-order is delivered immediately (live streaming, not
+/// post-hoc).
+pub struct TrialPipeline<C> {
     buffer: ReorderBuffer,
-    consumers: Vec<&'c mut dyn TrialConsumer>,
+    consumer: C,
     stopped: bool,
 }
 
-impl<'c> TrialPipeline<'c> {
+impl<C: TrialConsumer> TrialPipeline<C> {
     /// Pipeline delivering `expected` (ascending trial indices) to
-    /// `consumers`.
-    pub fn new(
-        expected: Vec<usize>,
-        consumers: Vec<&'c mut dyn TrialConsumer>,
-    ) -> TrialPipeline<'c> {
+    /// `consumer`.
+    pub fn new(expected: Vec<usize>, consumer: C) -> TrialPipeline<C> {
         TrialPipeline {
             buffer: ReorderBuffer::new(expected),
-            consumers,
+            consumer,
             stopped: false,
         }
     }
@@ -166,11 +186,7 @@ impl<'c> TrialPipeline<'c> {
             let Some(ready) = self.buffer.pop_ready() else {
                 break;
             };
-            for consumer in &mut self.consumers {
-                if consumer.consume(&ready) {
-                    self.stopped = true;
-                }
-            }
+            self.stopped = self.consumer.consume(&ready);
         }
     }
 
@@ -189,11 +205,19 @@ impl<'c> TrialPipeline<'c> {
         self.buffer.is_drained()
     }
 
-    /// Signal end-of-stream to every consumer.
+    /// Signal end-of-stream to the consumer.
     pub fn finish(&mut self) {
-        for consumer in &mut self.consumers {
-            consumer.finish();
-        }
+        self.consumer.finish();
+    }
+
+    /// The consumer.
+    pub fn consumer(&self) -> &C {
+        &self.consumer
+    }
+
+    /// The consumer, once delivery is over.
+    pub fn into_consumer(self) -> C {
+        self.consumer
     }
 }
 

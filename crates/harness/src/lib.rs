@@ -42,8 +42,8 @@ pub mod store;
 
 pub use campaign::{
     aggregate_outcomes, auto_worker_count, validate_deployment, CampaignAccumulator,
-    CampaignResult, CampaignRunner, CampaignSpec, ConvergenceSeries, ErrorSpec, TrialConsumer,
-    TrialExecutor, TrialPipeline, TrialRecord,
+    CampaignResult, CampaignRunner, CampaignSession, CampaignSpec, ConvergenceSeries, ErrorSpec,
+    TrialConsumer, TrialExecutor, TrialPipeline, TrialRecord,
 };
 pub use features::FeatureStore;
 pub use golden::{golden_cache_file_name, GoldenRun, GoldenStore, GOLDEN_CACHE_VERSION};

@@ -151,12 +151,16 @@ impl Daemon {
         let mut runner = CampaignRunner::new().with_trial_batch(config.batch.max(1));
         let journal = match &config.store {
             Some(store) => {
-                runner = runner.with_golden_dir(store.join("golden"));
+                runner = runner
+                    .with_golden_dir(store.join("golden"))
+                    .with_ledger_dir(store.join("ledger"))
+                    .with_feature_dir(store.join("features"))
+                    .with_resume(true);
                 Some(Journal::open(store).map_err(|e| format!("store: {e}"))?)
             }
             None => None,
         };
-        let scheduler = Arc::new(Scheduler::new(runner, config.workers, config.store.clone()));
+        let scheduler = Arc::new(Scheduler::new(runner, config.workers));
 
         // Bind before replay so a client polling for the socket cannot
         // connect to a half-initialized daemon — the listener exists but

@@ -18,24 +18,22 @@
 //!
 //! ## Determinism
 //!
-//! Each campaign's completed trials flow through its own
-//! [`ReorderBuffer`] into the same consumers the one-shot
-//! [`CampaignRunner`] wires ([`CampaignAccumulator`], ledger append,
-//! obs trial events), and each trial is executed by the
-//! [`TrialExecutor`] the runner itself builds — so a campaign's final
-//! aggregate is bitwise identical to a solo `resilim campaign` run of
-//! the same spec, no matter how many other campaigns it shared the
-//! pool with or in what order the workers interleaved them.
+//! Each campaign is a [`CampaignSession`], the same one the one-shot
+//! [`CampaignRunner`] drives: it opens the store, seeds resumed trials,
+//! and delivers completed trials in owned-index order to the
+//! aggregation, ledger, feature and obs sinks. The scheduler only
+//! decides which worker runs which pending trial when. So a campaign's
+//! final aggregate and store bytes are identical to a solo
+//! `resilim campaign` run of the same spec, no matter how many other
+//! campaigns it shared the pool with or in what order the workers
+//! interleaved them.
 
 use parking_lot::{Condvar, Mutex};
-use resilim_harness::campaign::{ObsTrialConsumer, ReorderBuffer};
 use resilim_harness::{
-    CampaignAccumulator, CampaignResult, CampaignRunner, CampaignSpec, CampaignSummary,
-    FeatureStore, TrialConsumer, TrialExecutor, TrialLedger, TrialRecord,
+    CampaignRunner, CampaignSession, CampaignSpec, CampaignSummary, TrialExecutor, TrialRecord,
 };
 use resilim_obs as obs;
 use std::collections::{BTreeMap, HashMap};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
@@ -89,165 +87,91 @@ pub enum WatchEvent {
 
 /// One registered campaign.
 struct Entry {
+    id: u64,
     spec: CampaignSpec,
-    exec: Arc<TrialExecutor>,
-    /// Trial indices this daemon must still execute (not resumed).
-    pending: Vec<usize>,
-    /// Position in `pending` of the next trial to claim.
+    /// `Some` while running; finished into the summary, or flushed and
+    /// dropped on cancel.
+    session: Option<CampaignSession>,
+    /// Position in the session's pending list of the next trial to
+    /// claim.
     next: usize,
     /// Claimed trials whose records have not come back yet.
     in_flight: usize,
-    /// Freshly executed records delivered in order (excludes resumed).
-    delivered_fresh: usize,
-    buffer: ReorderBuffer,
-    /// `Some` while running; taken at finalization.
-    acc: Option<CampaignAccumulator>,
-    ledger: Option<TrialLedger>,
-    /// Per-trial feature persistence (`<store>/features`), when durable.
-    feature_store: Option<FeatureStore>,
-    obs_sink: ObsTrialConsumer,
-    /// An adaptive stop rule fired; the delivered prefix is final.
-    stopped: bool,
+    /// Trials delivered in order so far (resumed included).
+    done: usize,
     state: CampaignState,
     summary: Option<CampaignSummary>,
     watchers: Vec<mpsc::Sender<WatchEvent>>,
-    started: Instant,
-    metrics_before: obs::MetricsSnapshot,
 }
 
 impl Entry {
-    fn id(&self) -> u64 {
-        self.exec.campaign_id()
-    }
-
-    /// Whether the scheduler may admit another trial of this campaign.
-    fn claimable(&self, fair_share: usize) -> bool {
-        self.state == CampaignState::Running
-            && !self.stopped
-            && self.next < self.pending.len()
-            && self.in_flight < fair_share
-            // in_flight + parked-out-of-order records; see module doc.
-            && self.next - self.delivered_fresh < REORDER_WINDOW
-    }
-
-    /// Whether this campaign still has admissible work (for the fair
+    /// Whether this campaign still has trials to admit (for the fair
     /// share's active-campaign count).
     fn has_work(&self) -> bool {
-        self.state == CampaignState::Running && !self.stopped && self.next < self.pending.len()
+        self.session
+            .as_ref()
+            .is_some_and(|s| self.next < s.pending().len())
     }
 
-    /// Push one completed record and deliver everything that became
-    /// in-order; finalize if the campaign reached its end.
-    fn deliver(&mut self, rec: TrialRecord) {
-        self.deliver_batch(std::iter::once(rec));
+    /// Claim up to `batch` consecutive pending trials, bounded by the
+    /// fair share and the reorder window, with the executor to run them.
+    fn claim(
+        &mut self,
+        fair_share: usize,
+        batch: usize,
+    ) -> Option<(Arc<TrialExecutor>, Vec<usize>)> {
+        let session = self.session.as_ref()?;
+        let mut tests = Vec::new();
+        while tests.len() < batch
+            && self.next < session.pending().len()
+            && self.in_flight < fair_share
+            // in_flight + parked-out-of-order records; see module doc.
+            && self.next - session.fresh_delivered() < REORDER_WINDOW
+        {
+            tests.push(session.pending()[self.next]);
+            self.next += 1;
+            self.in_flight += 1;
+        }
+        (!tests.is_empty()).then(|| (Arc::clone(session.executor()), tests))
     }
 
-    /// Push a batch of completed records (one registry-lock hold) and
-    /// deliver everything that became in-order; finalize if the
-    /// campaign reached its end. Delivery order — and therefore every
-    /// aggregate and the adaptive stop position — is identical to
-    /// delivering the records one at a time.
-    fn deliver_batch(&mut self, records: impl IntoIterator<Item = TrialRecord>) {
-        if self.state != CampaignState::Running || self.stopped {
-            // A late record of a cancelled or already-stopped campaign:
-            // dropped, exactly like the one-shot pipeline after a stop.
+    /// Push completed records into the session (one registry-lock
+    /// hold), send one `Progress` per record that became in-order, and
+    /// finalize once the campaign is done. A late record of a cancelled
+    /// campaign is dropped, exactly like the one-shot pipeline after a
+    /// stop.
+    fn deliver(&mut self, records: Vec<TrialRecord>) {
+        let Some(session) = &mut self.session else {
             return;
-        }
-        for rec in records {
-            self.buffer.push(rec);
-        }
-        // Ledger and feature-store appends for this delivery are
-        // batched into one write each (order within the batch is the
-        // delivery order, so the file contents are identical to
-        // unbatched appends).
-        let mut fresh = Vec::new();
-        let mut fresh_features = Vec::new();
-        while !self.stopped {
-            let Some(ready) = self.buffer.pop_ready() else {
-                break;
-            };
-            let stop = self.acc.as_mut().expect("running campaign").consume(&ready);
-            if !ready.resumed {
-                if self.ledger.is_some() {
-                    fresh.push((ready.index, ready.outcome, ready.attempts));
-                }
-                if self.feature_store.is_some() {
-                    if let Some(features) = ready.features {
-                        fresh_features.push((ready.index, features));
-                    }
-                }
-                self.obs_sink.consume(&ready);
-                self.delivered_fresh += 1;
-            }
+        };
+        session.push(records);
+        while self.done < session.delivered() {
+            self.done += 1;
             let progress = WatchEvent::Progress {
-                done: self.buffer.delivered(),
+                done: self.done,
                 total: self.spec.tests,
             };
             self.watchers.retain(|w| w.send(progress.clone()).is_ok());
-            if stop {
-                self.stopped = true;
-            }
         }
-        if let Some(ledger) = &self.ledger {
-            ledger.append_batch(&fresh);
-        }
-        if let Some(store) = &self.feature_store {
-            store.append_batch(&fresh_features);
-        }
-        if self.stopped || self.buffer.is_drained() {
+        if session.is_done() {
             self.finalize();
         }
     }
 
-    /// Seal the campaign: fold the accumulator into the final summary
-    /// via the same [`CampaignResult`] → [`CampaignSummary`] path the
-    /// CLI takes, flush the ledger, and notify watchers.
+    /// Seal the campaign: finish the session into the same
+    /// [`CampaignResult`](resilim_harness::CampaignResult) →
+    /// [`CampaignSummary`] path the CLI takes (closing its store), and
+    /// notify watchers.
     fn finalize(&mut self) {
-        debug_assert_eq!(self.state, CampaignState::Running);
-        let delivered = self.buffer.delivered();
-        if self.stopped {
-            obs::count(obs::Counter::CampaignsStoppedEarly, 1);
-            obs::count(
-                obs::Counter::TrialsSavedByStopping,
-                (self.spec.tests - delivered) as u64,
-            );
-            if obs::enabled() {
-                obs::emit(&obs::Event::CampaignEarlyStop {
-                    campaign: self.id(),
-                    at_trial: delivered,
-                    planned: self.spec.tests,
-                });
-            }
-        }
-        let (outcomes, features, fi, prop, by_contam, uncontaminated) =
-            self.acc.take().expect("finalize once").into_parts();
-        let result = CampaignResult {
-            procs: self.spec.procs,
-            fi,
-            prop,
-            by_contam,
-            uncontaminated,
-            outcomes,
-            features,
-            stopped_early: self.stopped,
-            wall: self.started.elapsed(),
-            golden: Arc::clone(self.exec.golden()),
-            metrics: obs::MetricsSnapshot::capture().delta(&self.metrics_before),
-        };
+        let result = self.session.take().expect("finalize once").finish();
         self.summary = Some(CampaignSummary::of(&self.spec, &result));
         self.state = CampaignState::Done;
-        self.close_store();
         obs::count(obs::Counter::ServeCampaignsDone, 1);
         obs::gauge_add(obs::Gauge::ServeActiveCampaigns, -1);
         if obs::enabled() {
-            obs::emit(&obs::Event::CampaignEnd {
-                campaign: self.id(),
-                wall_us: obs::as_micros(self.started.elapsed()),
-                trials: delivered,
-            });
             obs::emit(&obs::Event::ServeCampaignDone {
-                id: self.id(),
-                trials: delivered,
+                id: self.id,
+                trials: self.done,
                 state: "done",
             });
         }
@@ -259,25 +183,16 @@ impl Entry {
         self.watchers.clear();
     }
 
-    /// Close the campaign's ledger and feature files (dropping a writer
-    /// syncs it). Called on reaching a terminal state, after which
-    /// nothing is appended, so a finished campaign kept in the registry
-    /// holds no open file and no write state.
-    fn close_store(&mut self) {
-        self.ledger = None;
-        self.feature_store = None;
-    }
-
     fn status(&self) -> crate::protocol::CampaignStatus {
         crate::protocol::CampaignStatus {
-            id: self.id(),
+            id: self.id,
             app: self.spec.spec.app().name().to_string(),
             procs: self.spec.procs,
             errors: self.spec.errors.cli_name(),
             tests: self.spec.tests,
             seed: self.spec.seed,
             state: self.state.as_str().to_string(),
-            done: self.buffer.delivered(),
+            done: self.done,
             total: self.spec.tests,
         }
     }
@@ -301,27 +216,21 @@ struct Shared {
     /// still complete and deliver (graceful drain).
     shutdown: AtomicBool,
     workers: usize,
-    /// Trials a worker claims (and later delivers) per admission.
-    batch: usize,
-    /// Ledger directory (`<store>/ledger`), when durable.
-    ledger_dir: Option<PathBuf>,
-    /// Feature-store directory (`<store>/features`), when durable.
-    feature_dir: Option<PathBuf>,
 }
 
 impl Shared {
     /// Claim the next admissible `(campaign, trials)` batch, round-robin
-    /// across campaigns starting after the last admitted one. Up to
-    /// [`Shared::batch`] consecutive trials of one campaign are claimed
-    /// at once (still bounded by the fair share and the reorder
-    /// window), amortizing the registry lock and admission bookkeeping
-    /// per trial.
+    /// across campaigns starting after the last admitted one. Up to the
+    /// runner's trial batch of one campaign's trials are claimed at once
+    /// (still bounded by the fair share and the reorder window),
+    /// amortizing the registry lock and admission bookkeeping per trial.
     fn claim(&self, st: &mut State) -> Option<(u64, Arc<TrialExecutor>, Vec<usize>)> {
         let active = st.entries.values().filter(|e| e.has_work()).count();
         if active == 0 {
             return None;
         }
         let fair_share = (self.workers / active).max(1);
+        let batch = self.runner.trial_batch();
         // Two passes: ids strictly after the cursor, then the wrap.
         let ids: Vec<u64> = st
             .entries
@@ -331,15 +240,9 @@ impl Shared {
             .collect();
         for id in ids {
             let entry = st.entries.get_mut(&id).expect("listed id");
-            let mut tests = Vec::new();
-            while tests.len() < self.batch && entry.claimable(fair_share) {
-                tests.push(entry.pending[entry.next]);
-                entry.next += 1;
-                entry.in_flight += 1;
-            }
-            if !tests.is_empty() {
+            if let Some((exec, tests)) = entry.claim(fair_share, batch) {
                 st.rr_last = id;
-                return Some((id, Arc::clone(&entry.exec), tests));
+                return Some((id, exec, tests));
             }
         }
         None
@@ -356,15 +259,12 @@ pub struct Scheduler {
 }
 
 impl Scheduler {
-    /// Start `workers` trial workers over `runner`. With a `store`
-    /// directory, every campaign is ledgered under `<store>/ledger`
-    /// and submissions resume whatever the ledger already holds.
-    /// Admission batch size comes from the runner
-    /// ([`CampaignRunner::with_trial_batch`]); batching is
-    /// observationally invisible (see `Entry::deliver_batch`).
-    pub fn new(runner: CampaignRunner, workers: usize, store: Option<PathBuf>) -> Scheduler {
+    /// Start `workers` trial workers over `runner`. The runner's store
+    /// directories, resume flag and admission batch
+    /// ([`CampaignRunner::with_trial_batch`]) apply to every campaign,
+    /// exactly as they do to a one-shot run.
+    pub fn new(runner: CampaignRunner, workers: usize) -> Scheduler {
         let workers = workers.max(1);
-        let batch = runner.trial_batch();
         let shared = Arc::new(Shared {
             runner,
             state: Mutex::new(State {
@@ -375,9 +275,6 @@ impl Scheduler {
             cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
             workers,
-            batch,
-            ledger_dir: store.as_ref().map(|dir| dir.join("ledger")),
-            feature_dir: store.map(|dir| dir.join("features")),
         });
         let handles = (0..workers)
             .map(|_| {
@@ -399,41 +296,23 @@ impl Scheduler {
     /// Register a campaign. Returns `(id, deduped)`: a spec whose
     /// aggregation identity matches an already-registered campaign
     /// (running *or* finished) joins it instead of running again.
-    /// With a store, trials the ledger already holds are resumed, so
-    /// resubmitting a completed deployment to a fresh daemon finishes
-    /// without executing a single trial.
+    /// With a resuming store, trials the ledger already holds are
+    /// resumed, so resubmitting a completed deployment to a fresh
+    /// daemon finishes without executing a single trial. Fails if the
+    /// campaign's store cannot be opened.
     pub fn submit(&self, spec: &CampaignSpec) -> Result<(u64, bool), String> {
         obs::count(obs::Counter::ServeSubmits, 1);
         let key = spec.cache_key();
-        if let Some(id) = self.try_dedup(&key, spec) {
-            return Ok((id, true));
+        let registered = self.shared.state.lock().by_key.get(&key).copied();
+        if let Some(id) = registered {
+            return Ok(self.join(id, spec));
         }
-        // Golden profiling (or cache load) happens outside the registry
-        // lock; concurrent identical submissions single-flight inside
-        // the golden store and collapse at registration below.
-        let exec = Arc::new(self.shared.runner.trial_executor(spec));
-        let metrics_before = obs::MetricsSnapshot::capture();
-        let (ledger, mut resumed) = match &self.shared.ledger_dir {
-            Some(dir) => (
-                TrialLedger::open(dir, &spec.ledger_key(), spec.seed).ok(),
-                TrialLedger::load(dir, &spec.ledger_key(), spec.seed),
-            ),
-            None => (None, HashMap::new()),
-        };
-        resumed.retain(|&t, _| t < spec.tests);
-        let (feature_store, resumed_features) = match &self.shared.feature_dir {
-            Some(dir) => (
-                FeatureStore::open(dir, &spec.ledger_key(), spec.seed).ok(),
-                FeatureStore::load(dir, &spec.ledger_key(), spec.seed),
-            ),
-            None => (None, HashMap::new()),
-        };
-        let owned: Vec<usize> = (0..spec.tests).collect();
-        let pending: Vec<usize> = owned
-            .iter()
-            .copied()
-            .filter(|t| !resumed.contains_key(t))
-            .collect();
+        // Golden profiling (or cache load) and the resume load happen
+        // outside the registry lock; concurrent identical submissions
+        // single-flight inside the golden store and collapse at
+        // registration below.
+        let session = CampaignSession::open(&self.shared.runner, spec)
+            .map_err(|e| format!("campaign store: {e}"))?;
 
         let mut st = self.shared.state.lock();
         if self.shared.shutdown.load(Ordering::Relaxed) {
@@ -441,58 +320,27 @@ impl Scheduler {
         }
         if let Some(&id) = st.by_key.get(&key) {
             drop(st);
-            obs::count(obs::Counter::ServeDedupHits, 1);
-            self.note_submit(id, spec, true);
-            return Ok((id, true));
+            return Ok(self.join(id, spec));
         }
-        let id = exec.campaign_id();
-        obs::count(
-            obs::Counter::TrialsResumed,
-            (owned.len() - pending.len()) as u64,
-        );
+        let id = session.executor().campaign_id();
         obs::gauge_add(obs::Gauge::ServeActiveCampaigns, 1);
         self.note_submit(id, spec, false);
-        if obs::enabled() {
-            obs::emit(&obs::Event::CampaignStart {
-                campaign: id,
-                app: spec.spec.app().name().to_string(),
-                procs: spec.procs,
-                tests: spec.tests,
-                errors: format!("{:?}", spec.errors),
-            });
-        }
+        session.start();
         let mut entry = Entry {
+            id,
             spec: spec.clone(),
-            exec,
-            pending,
             next: 0,
             in_flight: 0,
-            delivered_fresh: 0,
-            buffer: ReorderBuffer::new(owned.clone()),
-            acc: Some(CampaignAccumulator::new(spec.procs, spec.stop)),
-            ledger,
-            feature_store,
-            obs_sink: ObsTrialConsumer::new(id),
-            stopped: false,
+            // Resumed records seeded at open may already have completed
+            // (or adaptively stopped) the campaign.
+            done: session.delivered(),
             state: CampaignState::Running,
             summary: None,
             watchers: Vec::new(),
-            started: Instant::now(),
-            metrics_before,
+            session: Some(session),
         };
-        // Seed the ledger's records first: they may complete (or
-        // adaptively stop) the campaign before any worker runs.
-        for &t in &owned {
-            if let Some(outcome) = resumed.get(&t) {
-                entry.deliver(TrialRecord {
-                    index: t,
-                    outcome: *outcome,
-                    attempts: 0,
-                    resumed: true,
-                    latency_us: 0,
-                    features: resumed_features.get(&t).copied(),
-                });
-            }
+        if entry.session.as_ref().is_some_and(CampaignSession::is_done) {
+            entry.finalize();
         }
         st.by_key.insert(key, id);
         st.entries.insert(id, entry);
@@ -500,14 +348,11 @@ impl Scheduler {
         Ok((id, false))
     }
 
-    /// First-pass dedup check (fast path, registry lock only).
-    fn try_dedup(&self, key: &str, spec: &CampaignSpec) -> Option<u64> {
-        let st = self.shared.state.lock();
-        let id = *st.by_key.get(key)?;
-        drop(st);
+    /// Answer a submission that joins the registered campaign `id`.
+    fn join(&self, id: u64, spec: &CampaignSpec) -> (u64, bool) {
         obs::count(obs::Counter::ServeDedupHits, 1);
         self.note_submit(id, spec, true);
-        Some(id)
+        (id, true)
     }
 
     fn note_submit(&self, id: u64, spec: &CampaignSpec, deduped: bool) {
@@ -572,13 +417,15 @@ impl Scheduler {
             return true;
         }
         entry.state = CampaignState::Cancelled;
-        entry.close_store();
+        if let Some(mut session) = entry.session.take() {
+            session.flush();
+        }
         obs::count(obs::Counter::ServeCampaignsCancelled, 1);
         obs::gauge_add(obs::Gauge::ServeActiveCampaigns, -1);
         if obs::enabled() {
             obs::emit(&obs::Event::ServeCampaignDone {
                 id,
-                trials: entry.buffer.delivered(),
+                trials: entry.done,
                 state: "cancelled",
             });
         }
@@ -642,16 +489,9 @@ impl Scheduler {
         for handle in self.handles.lock().drain(..) {
             let _ = handle.join();
         }
-        let st = self.shared.state.lock();
-        for entry in st.entries.values() {
-            if entry.state == CampaignState::Running {
-                if let Some(ledger) = &entry.ledger {
-                    ledger.sync();
-                }
-                if let Some(store) = &entry.feature_store {
-                    store.sync();
-                }
-            }
+        let mut st = self.shared.state.lock();
+        for session in st.entries.values_mut().filter_map(|e| e.session.as_mut()) {
+            session.flush();
         }
     }
 }
@@ -682,21 +522,11 @@ fn worker_loop(shared: &Shared) {
         let Some((id, exec, tests)) = claim else {
             return;
         };
-        let mut recs = Vec::with_capacity(tests.len());
-        for test in &tests {
-            let busy = obs::timer();
-            recs.push(exec.run_trial(*test));
-            if let Some(busy) = busy {
-                obs::count(
-                    obs::Counter::WorkerBusyNanos,
-                    busy.elapsed().as_nanos().min(u64::MAX as u128) as u64,
-                );
-            }
-        }
+        let recs = exec.run_batch(&tests);
         let mut st = shared.state.lock();
         if let Some(entry) = st.entries.get_mut(&id) {
             entry.in_flight -= tests.len();
-            entry.deliver_batch(recs);
+            entry.deliver(recs);
         }
         // A freed slot (or a finished campaign) may unblock peers.
         shared.cv.notify_all();
@@ -734,7 +564,7 @@ mod tests {
     fn single_campaign_matches_solo_run() {
         let s = spec(App::Lu, 2, 12, 3);
         let solo = CampaignSummary::of(&s, &CampaignRunner::new().run_uncached(&s));
-        let sched = Scheduler::new(CampaignRunner::new(), 3, None);
+        let sched = Scheduler::new(CampaignRunner::new(), 3);
         let (id, deduped) = sched.submit(&s).unwrap();
         assert!(!deduped);
         assert_eq!(wait_done(&sched, id), CampaignState::Done);
@@ -743,7 +573,7 @@ mod tests {
 
     #[test]
     fn resubmission_joins_the_existing_campaign() {
-        let sched = Scheduler::new(CampaignRunner::new(), 2, None);
+        let sched = Scheduler::new(CampaignRunner::new(), 2);
         let (a, first) = sched.submit(&spec(App::Cg, 1, 8, 5)).unwrap();
         let (b, second) = sched.submit(&spec(App::Cg, 1, 8, 5)).unwrap();
         assert!(!first);
@@ -767,7 +597,7 @@ mod tests {
         let result = CampaignRunner::new().run_uncached(&adaptive);
         assert!(result.stopped_early);
         let solo = CampaignSummary::of(&adaptive, &result);
-        let sched = Scheduler::new(CampaignRunner::new(), 4, None);
+        let sched = Scheduler::new(CampaignRunner::new(), 4);
         let (id, _) = sched.submit(&adaptive).unwrap();
         assert_eq!(wait_done(&sched, id), CampaignState::Done);
         assert_same_measurement(&sched.summary(id).unwrap(), &solo);
@@ -775,7 +605,7 @@ mod tests {
 
     #[test]
     fn watch_streams_progress_then_terminal() {
-        let sched = Scheduler::new(CampaignRunner::new(), 2, None);
+        let sched = Scheduler::new(CampaignRunner::new(), 2);
         let (id, _) = sched.submit(&spec(App::Lu, 2, 10, 11)).unwrap();
         let rx = sched.watch(id).expect("known id");
         let mut last_done = 0;
@@ -803,8 +633,19 @@ mod tests {
     }
 
     #[test]
+    fn unopenable_store_fails_the_submission() {
+        let file = std::env::temp_dir().join(format!("resilim-sched-file-{}", std::process::id()));
+        std::fs::write(&file, b"not a directory").unwrap();
+        let sched = Scheduler::new(CampaignRunner::new().with_ledger_dir(&file), 1);
+        let err = sched.submit(&spec(App::Cg, 1, 4, 1)).unwrap_err();
+        let _ = std::fs::remove_file(&file);
+        assert!(err.contains(&file.display().to_string()), "{err}");
+        assert!(sched.list().is_empty(), "nothing registered");
+    }
+
+    #[test]
     fn shutdown_refuses_new_submissions() {
-        let sched = Scheduler::new(CampaignRunner::new(), 1, None);
+        let sched = Scheduler::new(CampaignRunner::new(), 1);
         sched.shutdown();
         assert!(sched.submit(&spec(App::Cg, 1, 4, 1)).is_err());
     }

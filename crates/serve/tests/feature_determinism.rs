@@ -1,9 +1,9 @@
-//! Feature-pipeline determinism: the per-trial feature shard a campaign
-//! writes under `--store DIR/features/` must be **bitwise identical** no
-//! matter how the trials were scheduled — jobs ∈ {1, 4, auto} × batch ∈
-//! {1, 7, 64}, one-shot runner or daemon-served. Features ride the same
-//! reorder buffer as outcomes, so any scheduling-dependent byte is a
-//! pipeline bug.
+//! Store determinism: the per-trial feature shard and ledger shard a
+//! campaign writes under `--store DIR/{features,ledger}/` must be
+//! **bitwise identical** no matter how the trials were scheduled — jobs
+//! ∈ {1, 4, auto} × batch ∈ {1, 7, 64}, one-shot runner or
+//! daemon-served. Both ride the same reorder buffer as outcomes, so any
+//! scheduling-dependent byte is a pipeline bug.
 
 use resilim_apps::App;
 use resilim_harness::{CampaignRunner, CampaignSpec, ErrorSpec, FeatureStore};
@@ -21,10 +21,10 @@ fn spec() -> CampaignSpec {
     CampaignSpec::new(App::Cg.default_spec(), 2, ErrorSpec::OneParallel, 24, 5)
 }
 
-/// The single feature shard a run produced, as raw bytes.
-fn shard_bytes(features_dir: &Path) -> Vec<u8> {
-    let mut files: Vec<PathBuf> = std::fs::read_dir(features_dir)
-        .expect("features dir exists")
+/// The single shard a run produced in a store directory, as raw bytes.
+fn shard_bytes(store_dir: &Path) -> Vec<u8> {
+    let mut files: Vec<PathBuf> = std::fs::read_dir(store_dir)
+        .expect("store dir exists")
         .map(|e| e.unwrap().path())
         .collect();
     files.sort();
@@ -35,7 +35,7 @@ fn shard_bytes(features_dir: &Path) -> Vec<u8> {
 #[test]
 fn features_are_bitwise_identical_across_schedules() {
     let s = spec();
-    let mut reference: Option<Vec<u8>> = None;
+    let mut reference: Option<(Vec<u8>, Vec<u8>)> = None;
     for (name, jobs) in [
         ("jobs=1", Some(1)),
         ("jobs=4", Some(4)),
@@ -49,28 +49,35 @@ fn features_are_bitwise_identical_across_schedules() {
             };
             let runner = runner
                 .with_feature_dir(dir.join("features"))
+                .with_ledger_dir(dir.join("ledger"))
                 .with_trial_batch(batch);
             let result = runner.run_uncached(&s);
             assert_eq!(result.features.len(), s.tests, "{name} batch={batch}");
             let bytes = shard_bytes(&dir.join("features"));
+            let ledger = shard_bytes(&dir.join("ledger"));
             assert!(!bytes.is_empty(), "{name} batch={batch} wrote nothing");
+            assert!(!ledger.is_empty(), "{name} batch={batch} ledgered nothing");
             match &reference {
-                None => reference = Some(bytes),
-                Some(want) => {
-                    assert_eq!(&bytes, want, "{name} batch={batch} shard diverges")
+                None => reference = Some((bytes, ledger)),
+                Some((want, want_ledger)) => {
+                    assert_eq!(&bytes, want, "{name} batch={batch} shard diverges");
+                    assert_eq!(&ledger, want_ledger, "{name} batch={batch} ledger diverges");
                 }
             }
             let _ = std::fs::remove_dir_all(&dir);
         }
     }
-    let reference = reference.unwrap();
+    let (reference, reference_ledger) = reference.unwrap();
 
     // Daemon-served over a shared pool, batched claims: same bytes.
     let dir = temp_dir("serve");
     let sched = Scheduler::new(
-        CampaignRunner::new().with_trial_batch(7),
+        CampaignRunner::new()
+            .with_trial_batch(7)
+            .with_feature_dir(dir.join("features"))
+            .with_ledger_dir(dir.join("ledger"))
+            .with_resume(true),
         4,
-        Some(dir.clone()),
     );
     let (id, deduped) = sched.submit(&s).unwrap();
     assert!(!deduped);
@@ -81,6 +88,11 @@ fn features_are_bitwise_identical_across_schedules() {
     sched.shutdown();
     let served = shard_bytes(&dir.join("features"));
     assert_eq!(served, reference, "daemon-served shard diverges");
+    let served_ledger = shard_bytes(&dir.join("ledger"));
+    assert_eq!(
+        served_ledger, reference_ledger,
+        "daemon-served ledger diverges"
+    );
 
     // And the loader reads back exactly one record per trial.
     let loaded = FeatureStore::load_all(dir.join("features"));

@@ -8,9 +8,9 @@
 //! daemon was restarted, or which process executed which trial.
 
 use resilim_apps::App;
-use resilim_harness::{CampaignRunner, CampaignSpec, CampaignSummary, ErrorSpec};
+use resilim_harness::{CampaignRunner, CampaignSpec, CampaignSummary, ErrorSpec, TrialLedger};
 use resilim_serve::{CampaignState, Client, Daemon, Request, Scheduler, ServeConfig, SubmitSpec};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -27,6 +27,15 @@ fn spec(app: App, procs: usize, tests: usize, seed: u64) -> CampaignSpec {
         tests,
         seed,
     )
+}
+
+/// A runner keeping the daemon's store layout under `store`: ledger and
+/// feature store, resumed on submission.
+fn stored_runner(store: &Path) -> CampaignRunner {
+    CampaignRunner::new()
+        .with_ledger_dir(store.join("ledger"))
+        .with_feature_dir(store.join("features"))
+        .with_resume(true)
 }
 
 /// Solo one-shot run of `s`, as the summary the service must reproduce.
@@ -55,7 +64,7 @@ fn four_concurrent_campaigns_match_their_solo_runs() {
     ];
     let expected: Vec<CampaignSummary> = specs.iter().map(solo).collect();
 
-    let sched = Scheduler::new(CampaignRunner::new(), 4, None);
+    let sched = Scheduler::new(CampaignRunner::new(), 4);
     let ids: Vec<u64> = specs
         .iter()
         .map(|s| {
@@ -82,7 +91,7 @@ fn cancellation_is_isolated() {
     let bystander = spec(App::Cg, 2, 12, 78);
     let want = solo(&bystander);
 
-    let sched = Scheduler::new(CampaignRunner::new(), 2, None);
+    let sched = Scheduler::new(CampaignRunner::new(), 2);
     let (victim_id, _) = sched.submit(&victim).unwrap();
     let (bystander_id, _) = sched.submit(&bystander).unwrap();
     // 400 trials over 2 workers: the victim cannot be done yet.
@@ -103,6 +112,28 @@ fn cancellation_is_isolated() {
     assert!(!sched.cancel(999_999_999), "unknown id");
 }
 
+/// A cancelled campaign's ledger holds every trial it delivered, even
+/// the ones its batched session had not written out yet, so a later
+/// resubmission resumes all of them.
+#[test]
+fn cancel_flushes_batched_ledger_records() {
+    let store = temp_dir("cancel-flush");
+    let s = spec(App::Lu, 2, 400, 79);
+    let sched = Scheduler::new(stored_runner(&store).with_trial_batch(7), 2);
+    let (id, _) = sched.submit(&s).unwrap();
+    let deadline = std::time::Instant::now() + WAIT;
+    while sched.status(id).unwrap().done < 10 && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert!(sched.cancel(id));
+    let done = sched.status(id).unwrap().done;
+    assert!(done > 0, "made progress before the cancel");
+    let ledgered = TrialLedger::load(store.join("ledger"), &s.ledger_key(), s.seed);
+    assert_eq!(ledgered.len(), done, "every delivered trial is ledgered");
+    sched.shutdown();
+    let _ = std::fs::remove_dir_all(&store);
+}
+
 /// Resubmitting a completed deployment to a *fresh* scheduler over the
 /// same store finishes instantly from the ledger: zero trials executed.
 #[test]
@@ -111,7 +142,7 @@ fn ledger_makes_resubmission_instant() {
     let s = spec(App::Cg, 2, 16, 21);
     let want = solo(&s);
 
-    let first = Scheduler::new(CampaignRunner::new(), 2, Some(store.clone()));
+    let first = Scheduler::new(stored_runner(&store), 2);
     let (id, deduped) = first.submit(&s).unwrap();
     assert!(!deduped);
     assert_eq!(first.wait(id, WAIT), Some(CampaignState::Done));
@@ -120,7 +151,7 @@ fn ledger_makes_resubmission_instant() {
 
     // New daemon process, same store: the submission completes inside
     // `submit` itself — every record is seeded from the ledger.
-    let second = Scheduler::new(CampaignRunner::new(), 2, Some(store.clone()));
+    let second = Scheduler::new(stored_runner(&store), 2);
     let (id2, deduped2) = second.submit(&s).unwrap();
     assert!(!deduped2, "fresh scheduler has no in-memory entry");
     let status = second.status(id2).unwrap();
@@ -147,7 +178,7 @@ fn restart_mid_campaign_resumes_to_identical_aggregate() {
     let s = spec(App::Lu, 2, 60, 42);
     let want = solo(&s);
 
-    let first = Scheduler::new(CampaignRunner::new(), 2, Some(store.clone()));
+    let first = Scheduler::new(stored_runner(&store), 2);
     let (id, _) = first.submit(&s).unwrap();
     // Let some (but not all) trials land, then drain and stop.
     let deadline = std::time::Instant::now() + WAIT;
@@ -162,7 +193,7 @@ fn restart_mid_campaign_resumes_to_identical_aggregate() {
     let partial = first.status(id).unwrap().done;
     assert!(partial > 0, "made progress before the shutdown");
 
-    let second = Scheduler::new(CampaignRunner::new(), 2, Some(store.clone()));
+    let second = Scheduler::new(stored_runner(&store), 2);
     let (id2, _) = second.submit(&s).unwrap();
     assert_eq!(second.wait(id2, WAIT), Some(CampaignState::Done));
     assert_same_measurement(&second.summary(id2).unwrap(), &want);
